@@ -331,10 +331,10 @@ func AnalyzeAll(comps map[string]*Component, scenarios []Scenario, opts Options,
 	} else if opts.Store.HasRemote() {
 		// Warm-start prefetch: pull the run's whole record manifest from
 		// the remote tier in one bulk round trip before any scenario asks
-		// for it. A no-op against batch-less daemons — the per-record
-		// fall-through below stays byte-identical — and skipped outright
-		// for local-only stores, which would pay the manifest build for
-		// nothing.
+		// for it. A refused prefetch admits nothing, and the Gets below
+		// then fall through one ref at a time, byte-identical either
+		// way. Skipped outright for local-only stores, which would pay
+		// the manifest build for nothing.
 		opts.Store.Prefetch(PrefetchRefs(comps, scenarios, opts))
 	}
 	res, err := sched.Map(sopts, scenarios, func(_ int, sc Scenario) (*Result, error) {

@@ -28,8 +28,8 @@ type recordInfo struct {
 
 // Evict deletes least-recently-used records from the local tier until
 // its total size is at most maxBytes, and returns how many records
-// were deleted. Records across both layouts (sharded and legacy flat)
-// compete in one LRU order: oldest mtime first, ties broken by path.
+// were deleted. Every record file under the root competes in one LRU
+// order: oldest mtime first, ties broken by path.
 // Remote-only stores and non-positive budgets with an empty store are
 // no-ops. Concurrent readers are safe — an unlinked record simply
 // reads as a miss, which re-extracts — and races with other evictors
@@ -106,19 +106,10 @@ func (s *Store) scan() ([]recordInfo, int64, error) {
 }
 
 // ListRecords returns the paths of every record of the given kind
-// under dir, across both the sharded and the legacy flat layout,
-// sorted. It exists for tests and tooling that need to inspect or
-// prune a cache directory without hard-coding the layout.
+// under dir, sorted. It exists for tests and tooling that need to
+// inspect or prune a cache directory without hard-coding the layout.
 func ListRecords(dir, kind string) ([]string, error) {
-	sharded, err := filepath.Glob(filepath.Join(dir, kind, "*", "*", "*.rec"))
-	if err != nil {
-		return nil, err
-	}
-	flat, err := filepath.Glob(filepath.Join(dir, kind+"-*.rec"))
-	if err != nil {
-		return nil, err
-	}
-	out := append(sharded, flat...)
+	out, err := filepath.Glob(filepath.Join(dir, kind, "*", "*", "*.rec"))
 	sort.Strings(out)
-	return out, nil
+	return out, err
 }

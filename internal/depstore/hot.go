@@ -84,10 +84,3 @@ func (h *hotTier) add(kind, key string, payload []byte) {
 		delete(h.m, tail.Value.(*hotEntry).ref)
 	}
 }
-
-// len reports the resident record count (stats).
-func (h *hotTier) len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.ll.Len()
-}

@@ -5,11 +5,15 @@
 // the local-store-with-remote-registry shape that lets a fleet share
 // one extraction corpus.
 //
-// The wire protocol is deliberately dumb: GET/PUT of raw payload bytes
-// under /v1/store/{kind}/{key}, with 404 meaning miss. Envelope
-// framing, checksums, and corruption refusal stay a disk concern on
-// each side — the payload's own consumers re-validate everything, so a
-// byte-mangling proxy degrades to a miss, never a wrong answer.
+// Every call speaks one protocol: internal/depstore/wire's framed,
+// checksummed record stream, gzip-compressed, over POST
+// /v1/store/batch-get (a JSON ref manifest in) and POST
+// /v1/store/batch-put. A single Get is a one-ref batch-get and a
+// single Put a one-record batch-put. An answer is admitted whole or
+// not at all: a truncated or corrupted stream, or one carrying a frame
+// for a ref the client did not ask for, reads as a miss, so a
+// byte-mangling proxy or a confused daemon never yields a wrong record
+// or a write outside the cache.
 //
 // # Recovery model
 //
@@ -59,10 +63,6 @@ import (
 // "clean typed error" a wedged daemon produces — never a hang, never a
 // partial answer.
 var ErrUnavailable = errors.New("remote: daemon unavailable (circuit open)")
-
-// maxPayload bounds a single record read; matches the server's upload
-// bound so a healthy round-trip never truncates.
-const maxPayload = 64 << 20
 
 // maxBatchBytes bounds a bulk response body (the compressed stream as
 // read off the wire); matches the server's decompressed batch bound.
@@ -186,8 +186,9 @@ type Stats struct {
 	// RoundTrips counts actual HTTP exchanges, retries included — the
 	// number the batch protocol exists to shrink.
 	RoundTrips uint64
-	// Batches counts completed bulk transfers (batch-get and
-	// batch-put); BatchRecords counts the records they carried.
+	// Batches counts completed transfers (batch-get and batch-put,
+	// single Gets and Puts included); BatchRecords counts the records
+	// they carried.
 	Batches      uint64
 	BatchRecords uint64
 	// Dedups counts concurrent identical Gets coalesced by the
@@ -229,16 +230,11 @@ type Client struct {
 	rawBytes      atomic.Uint64
 	wireBytes     atomic.Uint64
 
-	// batchUnsupported latches when the daemon answers a batch endpoint
-	// with 404/405: it predates the protocol, so further batch calls
-	// fail fast locally and the store falls back to per-record traffic.
-	batchUnsupported atomic.Bool
-
 	// flights coalesces concurrent identical Gets: parallel sweep
 	// workers missing on the same key share one HTTP fetch instead of
 	// each paying their own round trip.
 	flightMu sync.Mutex
-	flights  map[string]*flight
+	flights  map[depstore.Ref]*flight
 }
 
 // flight is one in-progress singleflight fetch. Waiters block on wg
@@ -266,12 +262,9 @@ func NewWithConfig(baseURL string, cfg Config) *Client {
 		// wedging the whole call for one long timeout.
 		hc:      &http.Client{},
 		cfg:     cfg.withDefaults(),
-		flights: make(map[string]*flight),
+		flights: make(map[depstore.Ref]*flight),
 	}
 }
-
-// Base returns the daemon base URL the client was built with.
-func (c *Client) Base() string { return c.base }
 
 // Stats returns a snapshot of the recovery counters.
 func (c *Client) Stats() Stats {
@@ -504,23 +497,19 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-func (c *Client) recordURL(kind, key string) string {
-	return c.base + "/v1/store/" + url.PathEscape(kind) + "/" + url.PathEscape(key)
-}
-
-// Get fetches the payload under (kind, key) from the daemon. Any
-// failure — breaker open, transport error after retries, non-200
-// status, oversized body — is a miss, matching the depstore contract
-// that a cache tier never turns into an error source.
+// Get fetches the payload under (kind, key) from the daemon as a
+// one-ref batch-get. Any failure — breaker open, transport error after
+// retries, a non-200 answer, a damaged stream — is a miss, matching the
+// depstore contract that a cache tier never turns into an error source.
 //
 // Concurrent Gets for the same (kind, key) are coalesced: the first
 // caller fetches, the rest wait and share its answer. Parallel sweep
 // workers missing on one hot key used to each pay their own HTTP
 // round trip; now the fleet pays one.
 func (c *Client) Get(kind, key string) ([]byte, bool) {
-	fkey := kind + "\x00" + key
+	ref := depstore.Ref{Kind: kind, Key: key}
 	c.flightMu.Lock()
-	if f, ok := c.flights[fkey]; ok {
+	if f, ok := c.flights[ref]; ok {
 		c.flightMu.Unlock()
 		f.wg.Wait()
 		c.dedups.Add(1)
@@ -528,55 +517,21 @@ func (c *Client) Get(kind, key string) ([]byte, bool) {
 	}
 	f := &flight{}
 	f.wg.Add(1)
-	c.flights[fkey] = f
+	c.flights[ref] = f
 	c.flightMu.Unlock()
-	f.payload, f.ok = c.fetch(kind, key)
+	got, _ := c.BatchGet([]depstore.Ref{ref})
+	f.payload, f.ok = got[ref]
 	c.flightMu.Lock()
-	delete(c.flights, fkey)
+	delete(c.flights, ref)
 	c.flightMu.Unlock()
 	f.wg.Done()
 	return f.payload, f.ok
 }
 
-// fetch is the un-deduplicated record GET behind Get.
-func (c *Client) fetch(kind, key string) ([]byte, bool) {
-	res, err := c.do(http.MethodGet, c.recordURL(kind, key), nil, nil, maxPayload)
-	if err != nil {
-		return nil, false
-	}
-	if res.status != http.StatusOK {
-		// Any non-5xx answer (404 above all) is the daemon speaking: a
-		// miss is a healthy answer, already settled as a success.
-		return nil, false
-	}
-	return res.body, true
-}
-
-// Put pushes the payload under (kind, key) to the daemon. Errors are
+// Put uploads one record as a one-record batch-put. Errors are
 // returned for the caller's counters but must not fail an analysis.
 func (c *Client) Put(kind, key string, payload []byte) error {
-	if payload == nil {
-		payload = []byte{}
-	}
-	res, err := c.do(http.MethodPut, c.recordURL(kind, key), payload, nil, 4096)
-	if err != nil {
-		return fmt.Errorf("remote: %w", err)
-	}
-	if res.status != http.StatusNoContent && res.status != http.StatusOK {
-		return fmt.Errorf("remote: PUT %s/%s: HTTP %d", kind, key, res.status)
-	}
-	return nil
-}
-
-// batchManifest is the JSON body of a batch-get request: the refs the
-// client wants, in one round trip.
-type batchManifest struct {
-	Refs []batchRef `json:"refs"`
-}
-
-type batchRef struct {
-	Kind string `json:"kind"`
-	Key  string `json:"key"`
+	return c.put([]depstore.BatchRecord{{Ref: depstore.Ref{Kind: kind, Key: key}, Payload: payload}})
 }
 
 // countingReader counts the bytes that pass through it, so the client
@@ -592,30 +547,24 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// noteBatchUnsupported latches the daemon as batch-less. The latch is
-// sticky for the client's lifetime: CLI processes are short-lived, and
-// a daemon does not un-learn an endpoint, so one 404 is proof enough.
-func (c *Client) noteBatchUnsupported() {
-	c.batchUnsupported.Store(true)
-}
-
 // BatchGet fetches many refs in one round trip via POST
 // /v1/store/batch-get, negotiating gzip transport compression. It
-// returns ok=false — with zero records — whenever the batch answer
-// cannot be fully trusted: daemon predates the protocol (latched so
-// later calls fail fast locally), breaker open, transport failure, or
-// a truncated/corrupted stream. The caller falls back to per-record
-// Gets; a damaged batch can never poison a store.
+// returns ok=false — with zero records — whenever the answer cannot be
+// fully trusted: breaker open, transport failure, a non-200 status, a
+// truncated or corrupted stream, or a frame for a ref that was not
+// requested. The last matters because the caller files admitted
+// records under their refs: an unrequested ref is a path the daemon
+// chose, never validated by anyone. A damaged batch can never poison a
+// store.
 func (c *Client) BatchGet(refs []depstore.Ref) (map[depstore.Ref][]byte, bool) {
 	if len(refs) == 0 {
 		return map[depstore.Ref][]byte{}, true
 	}
-	if c.batchUnsupported.Load() {
-		return nil, false
-	}
-	manifest := batchManifest{Refs: make([]batchRef, len(refs))}
+	manifest := wire.Manifest{Refs: make([]wire.Ref, len(refs))}
+	requested := make(map[depstore.Ref]bool, len(refs))
 	for i, ref := range refs {
-		manifest.Refs[i] = batchRef{Kind: ref.Kind, Key: ref.Key}
+		manifest.Refs[i] = wire.Ref(ref)
+		requested[ref] = true
 	}
 	body, err := json.Marshal(&manifest)
 	if err != nil {
@@ -628,15 +577,7 @@ func (c *Client) BatchGet(refs []depstore.Ref) (map[depstore.Ref][]byte, bool) {
 		"Content-Type":    "application/json",
 		"Accept-Encoding": "gzip",
 	}, maxBatchBytes)
-	if err != nil {
-		return nil, false
-	}
-	switch res.status {
-	case http.StatusOK:
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		c.noteBatchUnsupported()
-		return nil, false
-	default:
+	if err != nil || res.status != http.StatusOK {
 		return nil, false
 	}
 	stream := io.Reader(bytes.NewReader(res.body))
@@ -656,29 +597,35 @@ func (c *Client) BatchGet(refs []depstore.Ref) (map[depstore.Ref][]byte, bool) {
 		// is a payload defect, not daemon health.
 		return nil, false
 	}
+	out := make(map[depstore.Ref][]byte, len(recs))
+	for _, rec := range recs {
+		ref := depstore.Ref{Kind: rec.Kind, Key: rec.Key}
+		if !requested[ref] {
+			return nil, false // a payload defect too: refuse the whole batch
+		}
+		if !rec.Missing {
+			out[ref] = rec.Payload
+		}
+	}
 	c.batches.Add(1)
 	c.batchRecords.Add(uint64(len(recs)))
 	c.rawBytes.Add(uint64(rawCount.n))
 	c.wireBytes.Add(uint64(len(res.body)))
-	out := make(map[depstore.Ref][]byte, len(recs))
-	for _, rec := range recs {
-		if !rec.Missing {
-			out[depstore.Ref{Kind: rec.Kind, Key: rec.Key}] = rec.Payload
-		}
-	}
 	return out, true
 }
 
 // BatchPut uploads many records in one gzip-compressed round trip via
-// POST /v1/store/batch-put. It returns whether the records were
-// delivered; on false the caller's per-record fallback still holds the
-// records safe (the remote tier is a cache of a cache).
+// POST /v1/store/batch-put and reports whether they were delivered; on
+// false the caller's local tiers still hold the records (the remote
+// tier is a cache of a cache).
 func (c *Client) BatchPut(recs []depstore.BatchRecord) bool {
+	return c.put(recs) == nil
+}
+
+// put is the batch-put behind Put and BatchPut.
+func (c *Client) put(recs []depstore.BatchRecord) error {
 	if len(recs) == 0 {
-		return true
-	}
-	if c.batchUnsupported.Load() {
-		return false
+		return nil
 	}
 	wrecs := make([]wire.Record, len(recs))
 	for i, rec := range recs {
@@ -686,33 +633,28 @@ func (c *Client) BatchPut(recs []depstore.BatchRecord) bool {
 	}
 	var framed bytes.Buffer
 	if err := wire.Write(&framed, wrecs); err != nil {
-		return false
+		return fmt.Errorf("remote: %w", err)
 	}
 	var zipped bytes.Buffer
 	gz := gzip.NewWriter(&zipped)
 	if _, err := gz.Write(framed.Bytes()); err != nil {
-		return false
+		return fmt.Errorf("remote: %w", err)
 	}
 	if err := gz.Close(); err != nil {
-		return false
+		return fmt.Errorf("remote: %w", err)
 	}
 	res, err := c.do(http.MethodPost, c.base+"/v1/store/batch-put", zipped.Bytes(), map[string]string{
 		"Content-Encoding": "gzip",
 	}, 4096)
 	if err != nil {
-		return false
+		return fmt.Errorf("remote: %w", err)
 	}
-	switch res.status {
-	case http.StatusNoContent, http.StatusOK:
-		c.batches.Add(1)
-		c.batchRecords.Add(uint64(len(recs)))
-		c.rawBytes.Add(uint64(framed.Len()))
-		c.wireBytes.Add(uint64(zipped.Len()))
-		return true
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		c.noteBatchUnsupported()
-		return false
-	default:
-		return false
+	if res.status != http.StatusNoContent && res.status != http.StatusOK {
+		return fmt.Errorf("remote: %s/v1/store/batch-put: HTTP %d", c.base, res.status)
 	}
+	c.batches.Add(1)
+	c.batchRecords.Add(uint64(len(recs)))
+	c.rawBytes.Add(uint64(framed.Len()))
+	c.wireBytes.Add(uint64(zipped.Len()))
+	return nil
 }

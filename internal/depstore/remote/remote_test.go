@@ -1,54 +1,67 @@
 package remote
 
 import (
+	"compress/gzip"
+	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fsdep/internal/depstore/wire"
 )
 
-// storeHandler is a minimal fsdepd store surface: GET/PUT raw payloads
-// under /v1/store/{kind}/{key}, 404 for misses, 200 on /v1/ping.
+// storeHandler is a minimal fsdepd store surface over an in-memory
+// map: batch-get answers a JSON manifest with an uncompressed wire
+// stream (misses as explicit frames), batch-put ingests a gzip wire
+// stream, and /v1/ping answers 200.
 type storeHandler struct {
 	mu   sync.Mutex
-	recs map[string][]byte
+	recs map[wire.Ref][]byte
 }
 
 func newStoreHandler() *storeHandler {
-	return &storeHandler{recs: make(map[string][]byte)}
+	return &storeHandler{recs: make(map[wire.Ref][]byte)}
 }
 
 func (h *storeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/ping" {
-		w.Write([]byte(`{"status":"ok"}`))
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, "/v1/store/")
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	switch r.Method {
-	case http.MethodGet:
-		p, ok := h.recs[key]
-		if !ok {
-			http.NotFound(w, r)
+	switch r.URL.Path {
+	case "/v1/ping":
+		w.Write([]byte(`{"status":"ok"}`))
+	case "/v1/store/batch-get":
+		var m wire.Manifest
+		if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Write(p)
-	case http.MethodPut:
-		body, err := io.ReadAll(r.Body)
+		recs := make([]wire.Record, len(m.Refs))
+		for i, ref := range m.Refs {
+			p, ok := h.recs[ref]
+			recs[i] = wire.Record{Kind: ref.Kind, Key: ref.Key, Payload: p, Missing: !ok}
+		}
+		wire.Write(w, recs)
+	case "/v1/store/batch-put":
+		gz, err := gzip.NewReader(r.Body)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		h.recs[key] = body
+		recs, err := wire.ReadAll(gz, 0)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		for _, rec := range recs {
+			h.recs[wire.Ref{Kind: rec.Kind, Key: rec.Key}] = rec.Payload
+		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		http.Error(w, "method", http.StatusMethodNotAllowed)
+		http.NotFound(w, r)
 	}
 }
 
@@ -149,7 +162,7 @@ func TestMissDoesNotTripBreaker(t *testing.T) {
 		}
 	}
 	if st := c.Stats(); st.State != "closed" || st.Opens != 0 {
-		t.Errorf("healthy 404s tripped the breaker: %+v", st)
+		t.Errorf("healthy misses tripped the breaker: %+v", st)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Self-healing scrub. A corrupt, torn, or version-skewed record is
 // refused by every Get — correct, but the refusal repeats forever: the
 // record sits on disk re-failing validation on every lookup, burning a
-// read, a parse, and a checksum each time, and (worse) shadowing the
-// legacy-layout fallback. Scrub walks the local tier once, re-validates
-// every record exactly the way Get does, and removes — or quarantines,
-// for post-mortem — the ones that can never be served again, so the
-// store converges back to all-valid after any crash or corruption
-// event. fsdepd runs it at startup with -scrub and on demand via
+// read, a parse, and a checksum each time. Scrub walks the local tier
+// once, re-validates every record exactly the way Get does, and
+// removes — or quarantines, for post-mortem — the ones that can never
+// be served again, including records left outside the store's layout
+// (such as a pre-fan-out cache's flat kind-key.rec files), so the
+// store converges back to all-valid after any crash, corruption, or
+// upgrade. fsdepd runs it at startup with -scrub and on demand via
 // POST /v1/scrub.
 
 package depstore
@@ -51,11 +52,12 @@ type ScrubReport struct {
 // Bad returns how many refused records the pass found.
 func (r ScrubReport) Bad() int { return r.Corrupt + r.VersionSkew + r.KindMismatch }
 
-// Scrub re-validates every record in the local tier (both layouts) and
-// deletes — or, with opts.Quarantine, moves aside — every record that
-// Get would refuse: unparseable or torn envelopes, checksum failures,
-// format-version skew, and records whose envelope kind disagrees with
-// their on-disk location. Valid records are untouched, as are in-flight
+// Scrub re-validates every record in the local tier and deletes — or,
+// with opts.Quarantine, moves aside — every record that Get would
+// refuse or can never reach: unparseable or torn envelopes, checksum
+// failures, format-version skew, and records whose envelope kind
+// disagrees with their on-disk location or that sit outside
+// kind/ab/cd/key.rec. Valid records are untouched, as are in-flight
 // temp files (a concurrent Put's rename must not race the scrub).
 // Remote-only stores are a no-op. Safe to run on a live store:
 // concurrent Gets of a record being removed degrade to a clean miss.
@@ -130,7 +132,8 @@ const (
 
 // validateRecord applies exactly Get's refusal checks to the record at
 // path, deriving the expected kind from the record's location so a
-// record misfiled under the wrong kind directory is caught too.
+// record misfiled under the wrong kind directory — or outside the
+// layout altogether — is caught too.
 func (s *Store) validateRecord(path string) recordVerdict {
 	raw, err := s.fsys.ReadFile(path)
 	if err != nil {
@@ -147,7 +150,7 @@ func (s *Store) validateRecord(path string) recordVerdict {
 	if env.Format != formatVersion {
 		return recordVersionSkew
 	}
-	if want, ok := s.kindOf(path); ok && env.Kind != want {
+	if want, ok := s.kindOf(path); !ok || env.Kind != want {
 		return recordKindMismatch
 	}
 	if payloadSum(raw[nl+1:]) != env.Sum {
@@ -156,29 +159,25 @@ func (s *Store) validateRecord(path string) recordVerdict {
 	return recordOK
 }
 
-// kindOf derives the kind a record at path claims by its location:
-// dir/kind/ab/cd/key.rec in the sharded layout, dir/kind-key.rec in
-// the legacy flat one. Records at neither location report !ok and skip
-// the kind check (they are unreachable by Get anyway).
+// kindOf derives the kind a record at path claims by its location,
+// dir/kind/ab/cd/key.rec. A record anywhere else — a flat pre-fan-out
+// file, a key under the wrong fan-out directories — reports !ok: no
+// Get can ever reach it.
 func (s *Store) kindOf(path string) (string, bool) {
 	rel, err := filepath.Rel(s.dir, path)
 	if err != nil {
 		return "", false
 	}
 	parts := strings.Split(rel, string(filepath.Separator))
-	if len(parts) == 4 {
-		return parts[0], true
+	if len(parts) != 4 {
+		return "", false
 	}
-	if len(parts) == 1 {
-		if i := strings.IndexByte(parts[0], '-'); i > 0 {
-			return parts[0][:i], true
-		}
-	}
-	return "", false
+	kind, key := parts[0], strings.TrimSuffix(parts[3], ".rec")
+	return kind, len(key) >= 4 && s.path(kind, key) == path
 }
 
 // quarantine moves one refused record into qdir, flattening its path
-// so sharded and legacy records coexist there.
+// into a single file name.
 func (s *Store) quarantine(path, qdir string) error {
 	if err := s.fsys.MkdirAll(qdir, 0o755); err != nil {
 		return err

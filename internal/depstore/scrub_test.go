@@ -175,29 +175,40 @@ func TestScrubRemoteOnlyAndLegacyLayout(t *testing.T) {
 	if rep, err := ro.Scrub(ScrubOptions{}); err != nil || rep.Scanned != 0 {
 		t.Errorf("remote-only scrub = %+v, %v", rep, err)
 	}
-	// Legacy flat records are scanned, kind-checked from their filename
-	// prefix, and healed like sharded ones.
+	// Records outside kind/ab/cd/key.rec are unreachable by Get, so even
+	// well-formed ones are refused and removed: a pre-fan-out flat
+	// record (kind-key.rec in the root) and one filed under the wrong
+	// fan-out directories.
 	s := openT(t)
-	k := Key("legacy")
-	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
+	flat, misfanned := Key("legacy"), Key("misfanned")
+	for _, k := range []string{flat, misfanned} {
+		if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flatPath := filepath.Join(s.dir, KindTaint+"-"+flat+".rec")
+	if err := os.Rename(s.path(KindTaint, flat), flatPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(s.path(KindTaint, k), s.legacyPath(KindTaint, k)); err != nil {
+	wrongDir := filepath.Join(s.dir, KindTaint, "zz", "zz")
+	if err := os.MkdirAll(wrongDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	bad := Key("legacy-bad")
-	if err := os.WriteFile(s.legacyPath(KindTaint, bad), []byte("junk"), 0o644); err != nil {
+	if err := os.Rename(s.path(KindTaint, misfanned), filepath.Join(wrongDir, misfanned+".rec")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.dir, KindTaint+"-"+Key("legacy-bad")+".rec"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := s.Scrub(ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Scanned != 2 || rep.Valid != 1 || rep.Corrupt != 1 || rep.Removed != 1 {
-		t.Errorf("legacy scrub = %+v", rep)
+	if rep.Scanned != 3 || rep.Valid != 0 || rep.KindMismatch != 2 || rep.Corrupt != 1 || rep.Removed != 3 {
+		t.Errorf("legacy scrub = %+v, want 3 scanned / 2 kind mismatches / 1 corrupt / 3 removed", rep)
 	}
-	if _, ok := s.Get(KindTaint, k); !ok {
-		t.Error("valid legacy record removed by scrub")
+	if _, err := os.Stat(flatPath); !os.IsNotExist(err) {
+		t.Errorf("flat record survived the scrub: %v", err)
 	}
 }
 

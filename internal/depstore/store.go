@@ -22,13 +22,12 @@
 //
 // On disk, records fan out two levels by key prefix
 // (kind/ab/cd/key.rec) so a store shared by a fleet never piles tens
-// of thousands of files into one directory; the flat legacy layout
-// (kind-key.rec) is still read transparently, so caches written by
-// older builds keep answering. Every hit refreshes the record's
-// timestamp in place (no rename), giving Evict an LRU signal, and a
-// Store can carry a Remote tier — typically a running fsdepd, via
-// internal/depstore/remote — consulted on local miss and warmed on
-// every Put, so many clients share one warm extraction corpus.
+// of thousands of files into one directory; that is the only layout
+// read. Every hit refreshes the record's timestamp in place (no
+// rename), giving Evict an LRU signal, and a Store can carry a Remote
+// tier — typically a running fsdepd, via internal/depstore/remote —
+// bulk-prefetched ahead of a run, consulted on local miss, and warmed
+// by batched Puts, so many clients share one warm extraction corpus.
 package depstore
 
 import (
@@ -72,15 +71,23 @@ type envelope struct {
 	Sum    string `json:"sum"`
 }
 
-// Remote is a secondary record tier consulted when the local tier
-// misses and warmed on every Put. Implementations must be safe for
-// concurrent use and must treat every failure as a miss (Get) or a
-// reportable-but-ignorable error (Put): a remote tier is a cache of a
-// cache, never a correctness dependency. The canonical implementation
-// is internal/depstore/remote's HTTP client against a running fsdepd.
+// Remote is a secondary record tier: bulk-prefetched ahead of a run,
+// consulted when the local tiers miss, and warmed by Puts.
+// Implementations must be safe for concurrent use and must treat every
+// failure as a miss (Get, BatchGet) or a reportable-but-ignorable error
+// (Put, BatchPut): a remote tier is a cache of a cache, never a
+// correctness dependency. The canonical implementation is
+// internal/depstore/remote's HTTP client against a running fsdepd.
 type Remote interface {
 	Get(kind, key string) ([]byte, bool)
 	Put(kind, key string, payload []byte) error
+	// BatchGet fetches the given refs in one round trip. The returned
+	// map holds only the records the remote had, and never a ref that
+	// was not asked for; ok=false admits nothing.
+	BatchGet(refs []Ref) (map[Ref][]byte, bool)
+	// BatchPut uploads the given records in one round trip and reports
+	// whether they were delivered.
+	BatchPut(recs []BatchRecord) bool
 }
 
 // Ref addresses one record: a (kind, key) pair.
@@ -94,22 +101,6 @@ type Ref struct {
 type BatchRecord struct {
 	Ref
 	Payload []byte
-}
-
-// BatchRemote is a Remote that additionally speaks the bulk framed
-// protocol (internal/depstore/wire): many records per round trip.
-// Both methods report ok=false when the batch path is unavailable —
-// the remote end predates the protocol, or the transfer failed — and
-// the caller falls back to per-record calls; a false return must admit
-// nothing (the wire layer guarantees a damaged stream yields zero
-// records). The canonical implementation is internal/depstore/remote.
-type BatchRemote interface {
-	Remote
-	// BatchGet fetches the given refs in one round trip. The returned
-	// map holds only the records the remote had.
-	BatchGet(refs []Ref) (map[Ref][]byte, bool)
-	// BatchPut uploads the given records in one round trip.
-	BatchPut(recs []BatchRecord) bool
 }
 
 // StoreStats counts store outcomes. Invalidations are records that
@@ -152,16 +143,16 @@ type Store struct {
 	// plus a directory-fsync chain.
 	dirsReady sync.Map // dir path -> struct{}
 
-	// pending buffers remote uploads when the remote speaks the batch
-	// protocol, so a cold analysis pushes its records in a few bulk
-	// round trips (threshold flushes plus FlushRemote at run
+	// pending buffers remote uploads while another tier can answer
+	// read-after-write, so a cold analysis pushes its records in a few
+	// bulk round trips (threshold flushes plus FlushRemote at run
 	// boundaries) instead of one HTTP call per record.
 	pendingMu sync.Mutex
 	pending   []BatchRecord
 
 	// negative remembers refs a completed bulk prefetch proved absent
-	// from the remote, so the run's cold misses skip the per-record
-	// remote round trip they would otherwise each pay. Entries clear on
+	// from the remote, so the run's cold misses skip the one-ref remote
+	// round trip they would otherwise each pay. Entries clear on
 	// Put (the record exists now). Records appearing remotely mid-run
 	// via another client are missed until the next prefetch — sound for
 	// a cache: the consequence is one engine run, not a wrong answer.
@@ -306,22 +297,13 @@ func Key(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// path is a record's canonical location: two levels of hex fan-out
-// under the kind directory, so fleet-sized stores keep every directory
-// small. Keys shorter than the fan-out prefix (never produced by Key)
-// stay in the flat legacy layout.
+// path is a record's location: two levels of hex fan-out under the
+// kind directory, so fleet-sized stores keep every directory small.
+// Every key that reaches the store is hex and at least 8 digits long —
+// Key's 64, or a reference the daemon validated before storing it — so
+// the fan-out prefix always exists.
 func (s *Store) path(kind, key string) string {
-	if len(key) < 4 {
-		return s.legacyPath(kind, key)
-	}
 	return filepath.Join(s.dir, kind, key[:2], key[2:4], key+".rec")
-}
-
-// legacyPath is the pre-fan-out flat layout (kind-key.rec in the store
-// root). Reads fall back to it so caches written by older builds keep
-// working; writes always use the sharded layout.
-func (s *Store) legacyPath(kind, key string) string {
-	return filepath.Join(s.dir, kind+"-"+key+".rec")
 }
 
 // Get returns the payload stored under (kind, key), or (nil, false)
@@ -409,21 +391,14 @@ func (s *Store) notePresent(kind, key string) {
 	s.negMu.Unlock()
 }
 
-// localGet reads and validates one on-disk record, trying the sharded
-// layout first and the flat legacy layout second. Refusals are counted
-// here; the final miss (if no other tier answers) is counted by Get.
+// localGet reads and validates one on-disk record. Refusals are
+// counted here; the final miss (if no other tier answers) is counted
+// by Get.
 func (s *Store) localGet(kind, key string) ([]byte, bool) {
 	path := s.path(kind, key)
 	raw, err := s.fsys.ReadFile(path)
 	if err != nil {
-		legacy := s.legacyPath(kind, key)
-		if legacy == path {
-			return nil, false
-		}
-		if raw, err = s.fsys.ReadFile(legacy); err != nil {
-			return nil, false
-		}
-		path = legacy
+		return nil, false
 	}
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
@@ -467,10 +442,7 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	if s.dir != "" {
 		err = s.localPut(kind, key, payload)
 	}
-	if s.remote != nil {
-		if s.deferRemotePut(kind, key, payload) {
-			return err
-		}
+	if s.remote != nil && !s.deferRemotePut(kind, key, payload) {
 		if rerr := s.remote.Put(kind, key, payload); rerr != nil {
 			atomic.AddUint64(&s.remoteErrs, 1)
 			if err == nil && s.dir == "" {
@@ -490,13 +462,11 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 const putFlushThreshold = 64
 
 // deferRemotePut enqueues a remote upload for bulk transfer instead of
-// issuing it now. Deferral requires a batch-speaking remote still in
-// good standing plus another tier (local disk or hot memory) that can
-// answer read-after-write in the interim; otherwise the caller falls
-// back to the immediate per-record push.
+// issuing it now. Deferral requires another tier (local disk or hot
+// memory) that can answer read-after-write in the interim; otherwise
+// the caller pushes the record immediately.
 func (s *Store) deferRemotePut(kind, key string, payload []byte) bool {
-	br, ok := s.remote.(BatchRemote)
-	if !ok || (s.dir == "" && s.hot == nil) {
+	if s.dir == "" && s.hot == nil {
 		return false
 	}
 	s.pendingMu.Lock()
@@ -508,7 +478,7 @@ func (s *Store) deferRemotePut(kind, key string, payload []byte) bool {
 	}
 	s.pendingMu.Unlock()
 	if flush != nil {
-		s.pushBatch(br, flush)
+		s.pushBatch(flush)
 	}
 	return true
 }
@@ -517,36 +487,23 @@ func (s *Store) deferRemotePut(kind, key string, payload []byte) bool {
 // Analyses call it at run boundaries (after summaries are flushed);
 // it is a no-op for stores with nothing pending.
 func (s *Store) FlushRemote() {
-	br, ok := s.remote.(BatchRemote)
-	if !ok {
-		return
-	}
 	s.pendingMu.Lock()
 	flush := s.pending
 	s.pending = nil
 	s.pendingMu.Unlock()
 	if len(flush) > 0 {
-		s.pushBatch(br, flush)
+		s.pushBatch(flush)
 	}
 }
 
-// pushBatch uploads one pending batch, falling back to per-record
-// pushes when the bulk path cannot deliver — a batch-less daemon (the
-// client latches that case, so later flushes skip straight here
-// without an HTTP probe) or a transport failure. Per-record pushes
-// ride the usual retry/breaker machinery, so a dead daemon costs a
-// breaker trip, not a hang.
-func (s *Store) pushBatch(br BatchRemote, recs []BatchRecord) {
-	if br.BatchPut(recs) {
+// pushBatch uploads one pending batch. A failed batch counts one
+// remote error per record it carried; the local tiers still hold every
+// one of them, so the cost is a colder daemon, never a lost answer.
+func (s *Store) pushBatch(recs []BatchRecord) {
+	if s.remote.BatchPut(recs) {
 		atomic.AddUint64(&s.remoteWrites, uint64(len(recs)))
-		return
-	}
-	for _, rec := range recs {
-		if err := br.Put(rec.Kind, rec.Key, rec.Payload); err != nil {
-			atomic.AddUint64(&s.remoteErrs, 1)
-		} else {
-			atomic.AddUint64(&s.remoteWrites, 1)
-		}
+	} else {
+		atomic.AddUint64(&s.remoteErrs, uint64(len(recs)))
 	}
 }
 
@@ -554,15 +511,11 @@ func (s *Store) pushBatch(br BatchRemote, recs []BatchRecord) {
 // an analysis, so a warm start against a remote store pays one round
 // trip instead of one per record. Refs already present locally are
 // skipped (and admitted to the hot tier); the rest travel in a single
-// BatchGet. A remote that cannot serve the batch (older daemon,
-// transport failure) degrades silently — the analysis simply falls
-// back to per-record fetches on miss, byte-identical either way.
+// BatchGet. A failed batch admits nothing and degrades silently — the
+// analysis falls back to one-ref fetches on miss, byte-identical
+// either way.
 func (s *Store) Prefetch(refs []Ref) {
 	if s.remote == nil || len(refs) == 0 {
-		return
-	}
-	br, ok := s.remote.(BatchRemote)
-	if !ok {
 		return
 	}
 	missing := make([]Ref, 0, len(refs))
@@ -583,16 +536,18 @@ func (s *Store) Prefetch(refs []Ref) {
 	if len(missing) == 0 {
 		return
 	}
-	got, ok := br.BatchGet(missing)
+	got, ok := s.remote.BatchGet(missing)
 	if !ok {
 		return
 	}
+	// Admit by the requested refs, not by whatever the answer carries:
+	// only addresses this process derived ever reach the disk tier.
 	for _, ref := range missing {
-		if _, have := got[ref]; !have {
+		payload, have := got[ref]
+		if !have {
 			s.noteAbsent(ref)
+			continue
 		}
-	}
-	for ref, payload := range got {
 		atomic.AddUint64(&s.remoteHits, 1)
 		atomic.AddUint64(&s.prefetched, 1)
 		s.hotAdd(ref.Kind, ref.Key, payload)

@@ -43,6 +43,25 @@ func (f *fakeRemote) Put(kind, key string, payload []byte) error {
 	return nil
 }
 
+func (f *fakeRemote) BatchGet(refs []Ref) (map[Ref][]byte, bool) {
+	out := make(map[Ref][]byte)
+	for _, ref := range refs {
+		if p, ok := f.Get(ref.Kind, ref.Key); ok {
+			out[ref] = p
+		}
+	}
+	return out, true
+}
+
+func (f *fakeRemote) BatchPut(recs []BatchRecord) bool {
+	for _, rec := range recs {
+		if f.Put(rec.Kind, rec.Key, rec.Payload) != nil {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPutUsesShardedLayout(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -56,34 +75,6 @@ func TestPutUsesShardedLayout(t *testing.T) {
 	want := filepath.Join(dir, KindTaint, k[:2], k[2:4], k+".rec")
 	if _, err := os.Stat(want); err != nil {
 		t.Errorf("record not at sharded path %s: %v", want, err)
-	}
-	if _, err := os.Stat(s.legacyPath(KindTaint, k)); !os.IsNotExist(err) {
-		t.Errorf("write landed in the legacy flat layout")
-	}
-}
-
-func TestLegacyFlatLayoutReadThrough(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key("old-cache")
-	payload := []byte(`{"era":"flat"}`)
-	if err := s.Put(KindScenario, k, payload); err != nil {
-		t.Fatal(err)
-	}
-	// Demote the record to where a pre-fan-out build would have written
-	// it, and clear the sharded copy.
-	if err := os.Rename(s.path(KindScenario, k), s.legacyPath(KindScenario, k)); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get(KindScenario, k)
-	if !ok || string(got) != string(payload) {
-		t.Fatalf("legacy record not read through: %q, %v", got, ok)
-	}
-	if st := s.Stats(); st.Hits != 1 || st.Invalidations != 0 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -285,6 +276,11 @@ func TestTieredPutWarmsRemote(t *testing.T) {
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	// With a local tier the push is deferred to the next bulk flush.
+	if rem.puts != 0 {
+		t.Errorf("remote saw %d puts before the flush, want 0", rem.puts)
+	}
+	s.FlushRemote()
 	if rem.puts != 1 {
 		t.Errorf("remote saw %d puts, want 1", rem.puts)
 	}
@@ -305,6 +301,7 @@ func TestTieredRemotePutErrorIsNotFatal(t *testing.T) {
 	if err := s.Put(KindTaint, Key("local-ok"), []byte(`{"v":1}`)); err != nil {
 		t.Fatalf("put with failing remote errored: %v", err)
 	}
+	s.FlushRemote()
 	if st := s.Stats(); st.RemoteErrors != 1 || st.Writes != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -343,21 +340,16 @@ func TestRemoteOnlyStore(t *testing.T) {
 	}
 }
 
-func TestListRecordsSpansBothLayouts(t *testing.T) {
+func TestListRecordsListsOneKind(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := Key("new-style")
-	flat := Key("old-style")
-	for _, k := range []string{sharded, flat} {
+	for _, k := range []string{Key("first"), Key("second")} {
 		if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := os.Rename(s.path(KindTaint, flat), s.legacyPath(KindTaint, flat)); err != nil {
-		t.Fatal(err)
 	}
 	// A different kind must not leak into the listing.
 	if err := s.Put(KindScenario, Key("other"), []byte(`{"v":1}`)); err != nil {
@@ -368,7 +360,7 @@ func TestListRecordsSpansBothLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
-		t.Fatalf("ListRecords = %v, want both layouts' taint records", got)
+		t.Fatalf("ListRecords = %v, want both taint records", got)
 	}
 	for _, p := range got {
 		if !strings.Contains(p, "taint") {

@@ -51,9 +51,8 @@ const (
 	trailerMagic = "FSB$"
 )
 
-// Limits every reader enforces. MaxRecords bounds a single batch;
-// MaxPayload matches the store endpoints' single-record upload bound,
-// so a healthy round trip never truncates.
+// Limits every reader enforces: MaxRecords bounds a single batch,
+// MaxPayload a single record's payload.
 const (
 	MaxRecords = 1 << 20
 	MaxPayload = 64 << 20
@@ -67,6 +66,19 @@ var ErrTruncated = errors.New("wire: truncated batch stream")
 // ErrCorrupt reports a structurally invalid stream: wrong magic, an
 // impossible length, a checksum mismatch, or trailing garbage.
 var ErrCorrupt = errors.New("wire: corrupt batch stream")
+
+// Manifest is the JSON body of a batch-get request: the refs the
+// client wants, in one round trip.
+type Manifest struct {
+	Refs []Ref `json:"refs"`
+}
+
+// Ref addresses one record of a Manifest. Its fields match
+// depstore.Ref, so the two convert directly.
+type Ref struct {
+	Kind string `json:"kind"`
+	Key  string `json:"key"`
+}
 
 // Record is one record of a batch. Missing marks a batch-get answer
 // for a key the store did not have (Payload is nil then). Kind and Key

@@ -1,23 +1,26 @@
-// Chaos contract tests for the bulk store protocol: every way a batch
+// Chaos contract tests for the store protocol: every way a batch
 // transfer can go wrong — mid-stream truncation, a corrupted frame,
-// compressed garbage, an open breaker, a daemon that predates the
-// protocol — must yield a clean client-side refusal with zero records
-// admitted to any tier, and the per-record fallback must stay
-// byte-identical to the batch path.
+// compressed garbage, a frame nobody asked for, an open breaker — must
+// yield a clean client-side refusal with zero records admitted to any
+// tier and nothing written outside the cache directory.
 
 package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"fsdep/internal/depstore"
 	"fsdep/internal/depstore/remote"
+	"fsdep/internal/depstore/wire"
 )
 
 // batchFixture seeds n distinct records (valid refs, compressible
@@ -160,8 +163,8 @@ func mangleBatchGet(inner http.Handler, mangle func([]byte) []byte) http.Handler
 
 // assertBatchRefused drives a prefetch against a mangled daemon and
 // asserts the full contract: BatchGet refuses, nothing is admitted to
-// the local tier, and the breaker records a healthy exchange (payload
-// damage is not daemon death).
+// the local tier or written anywhere else, and the breaker records a
+// healthy exchange (payload damage is not daemon death).
 func assertBatchRefused(t *testing.T, name string, mangle func([]byte) []byte) {
 	t.Helper()
 	_, store, _ := newServerT(t)
@@ -174,32 +177,43 @@ func assertBatchRefused(t *testing.T, name string, mangle func([]byte) []byte) {
 	mts := httptest.NewServer(mangleBatchGet(NewServer(nil, store, nil, "test").Handler(), mangle))
 	defer mts.Close()
 
+	// The cache sits deep inside its own temporary root, so a record
+	// filed under a key that walks out of the cache still lands where
+	// the final check can see it.
+	root := t.TempDir()
+	cache := filepath.Join(root, "1", "2", "3", "4", "5", "6", "cache")
 	c := remote.New(mts.URL)
-	local, err := depstore.OpenWith(depstore.Options{Dir: t.TempDir(), Remote: c, HotRecords: 8})
+	local, err := depstore.OpenWith(depstore.Options{Dir: cache, Remote: c, HotRecords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.BatchGet(refs); ok {
-		t.Fatalf("%s: BatchGet accepted a damaged stream", name)
-	}
 	local.Prefetch(refs)
+	if _, ok := c.BatchGet(refs); ok {
+		t.Errorf("%s: BatchGet accepted a damaged stream", name)
+	}
+	// There is no other protocol to fall back to: a single Get through
+	// the same damaged daemon is a clean miss and admits nothing.
+	if _, ok := local.Get(recs[0].Kind, recs[0].Key); ok {
+		t.Errorf("%s: Get served a record from a damaged stream", name)
+	}
 	st := local.Stats()
-	if st.Prefetched != 0 || st.Writes != 0 {
-		t.Fatalf("%s: damaged batch admitted records (prefetched=%d writes=%d)", name, st.Prefetched, st.Writes)
+	if st.Prefetched != 0 || st.Writes != 0 || st.RemoteHits != 0 {
+		t.Errorf("%s: damaged batch admitted records (prefetched=%d writes=%d remote hits=%d)",
+			name, st.Prefetched, st.Writes, st.RemoteHits)
 	}
 	bs := c.Stats()
 	if bs.State != "closed" {
-		t.Fatalf("%s: payload damage tripped the breaker to %s", name, bs.State)
+		t.Errorf("%s: payload damage tripped the breaker to %s", name, bs.State)
 	}
 	if bs.Batches != 0 {
-		t.Fatalf("%s: refused transfers counted as completed batches", name)
+		t.Errorf("%s: refused transfers counted as completed batches", name)
 	}
-	// The per-record path through the same store still answers — the
-	// degraded mode is slower, never wrong.
-	got, ok := local.Get(recs[0].Kind, recs[0].Key)
-	if !ok || !bytes.Equal(got, recs[0].Payload) {
-		t.Fatalf("%s: per-record fallback failed after batch refusal", name)
-	}
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && !strings.HasPrefix(path, cache+string(filepath.Separator)) {
+			t.Errorf("%s: batch answer wrote %s outside the cache directory", name, path)
+		}
+		return nil
+	})
 }
 
 func TestBatchGetTruncationRefused(t *testing.T) {
@@ -219,6 +233,35 @@ func TestBatchGetGzipGarbageRefused(t *testing.T) {
 	// bytes that are not a gzip stream at all.
 	assertBatchRefused(t, "gzip-garbage", func([]byte) []byte {
 		return []byte("this is not a gzip stream, sorry about that")
+	})
+}
+
+// TestBatchGetUnrequestedFrameRefused: an answer carrying a frame for a
+// ref the client never asked for — keyed to walk out of the cache
+// directory — is refused whole, so the daemon can never choose the path
+// a record is written to.
+func TestBatchGetUnrequestedFrameRefused(t *testing.T) {
+	assertBatchRefused(t, "unrequested-frame", func(b []byte) []byte {
+		gz, err := gzip.NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Error(err)
+			return b
+		}
+		recs, err := wire.ReadAll(gz, 0)
+		if err != nil {
+			t.Error(err)
+			return b
+		}
+		recs = append(recs, wire.Record{
+			Kind: depstore.KindTaint, Key: "....//../../../../pwned", Payload: []byte(`{"pwned":true}`),
+		})
+		var out bytes.Buffer
+		zw := gzip.NewWriter(&out)
+		if err := wire.Write(zw, recs); err != nil {
+			t.Error(err)
+		}
+		zw.Close()
+		return out.Bytes()
 	})
 }
 
@@ -250,104 +293,5 @@ func TestBatchShortCircuitsOpenBreaker(t *testing.T) {
 	}
 	if got := c.Stats().RoundTrips; got != rt {
 		t.Fatalf("open breaker let %d batch round trips through", got-rt)
-	}
-}
-
-// legacyHandler emulates a daemon built before the batch endpoints: the
-// per-record surface answers, the batch routes 404.
-func legacyHandler(inner http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/store/batch-") {
-			http.NotFound(w, r)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-}
-
-// TestMixedVersionFallback proves a new client against a batch-less
-// daemon degrades silently to per-record traffic with byte-identical
-// results, and latches so later bulk calls cost no wasted round trips.
-func TestMixedVersionFallback(t *testing.T) {
-	recs, refs := batchFixture(3)
-
-	run := func(t *testing.T, url string) map[depstore.Ref][]byte {
-		c := remote.New(url)
-		local, err := depstore.OpenWith(depstore.Options{Dir: t.TempDir(), Remote: c, HotRecords: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		local.Prefetch(refs)
-		out := make(map[depstore.Ref][]byte, len(refs))
-		for _, ref := range refs {
-			if payload, ok := local.Get(ref.Kind, ref.Key); ok {
-				out[ref] = payload
-			}
-		}
-		// Write one new record through the tiered store and flush: the
-		// modern path batches it, the legacy path falls back per-record.
-		extra := depstore.BatchRecord{
-			Ref:     depstore.Ref{Kind: depstore.KindScenario, Key: depstore.Key("mixed-extra")},
-			Payload: []byte(`{"fresh":true}`),
-		}
-		if err := local.Put(extra.Kind, extra.Key, extra.Payload); err != nil {
-			t.Fatal(err)
-		}
-		local.FlushRemote()
-		out[extra.Ref] = extra.Payload
-		return out
-	}
-
-	seed := func(t *testing.T, store *depstore.Store) {
-		for _, rec := range recs {
-			if err := store.Put(rec.Kind, rec.Key, rec.Payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// Modern daemon.
-	_, modernStore, modernTS := newServerT(t)
-	seed(t, modernStore)
-	modernOut := run(t, modernTS.URL)
-
-	// Legacy daemon over its own identical store.
-	legacyStore, err := depstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed(t, legacyStore)
-	lts := httptest.NewServer(legacyHandler(NewServer(nil, legacyStore, nil, "test").Handler()))
-	defer lts.Close()
-	legacyOut := run(t, lts.URL)
-
-	if len(modernOut) != len(legacyOut) {
-		t.Fatalf("modern served %d records, legacy %d", len(modernOut), len(legacyOut))
-	}
-	for ref, want := range modernOut {
-		if !bytes.Equal(legacyOut[ref], want) {
-			t.Fatalf("fallback payload differs for %s/%s", ref.Kind, ref.Key)
-		}
-	}
-	// Both daemons ended up owning the freshly written record.
-	extraKey := depstore.Key("mixed-extra")
-	mp, mok := modernStore.Get(depstore.KindScenario, extraKey)
-	lp, lok := legacyStore.Get(depstore.KindScenario, extraKey)
-	if !mok || !lok || !bytes.Equal(mp, lp) {
-		t.Fatal("flushed record did not reach both daemons identically")
-	}
-
-	// The latch: a second bulk call against the legacy daemon must not
-	// even attempt HTTP.
-	c := remote.New(lts.URL)
-	if _, ok := c.BatchGet(refs); ok {
-		t.Fatal("BatchGet against a legacy daemon succeeded")
-	}
-	rt := c.Stats().RoundTrips
-	if _, ok := c.BatchGet(refs); ok {
-		t.Fatal("latched BatchGet succeeded")
-	}
-	if got := c.Stats().RoundTrips; got != rt {
-		t.Fatal("latched client still paid an HTTP round trip for a batch call")
 	}
 }

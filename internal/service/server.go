@@ -1,4 +1,4 @@
-// HTTP/JSON surface over an Analysis plus the raw record-store tier
+// HTTP/JSON surface over an Analysis plus the record-store tier
 // remote clients fall through to. Endpoints (all under /v1):
 //
 //	GET  /v1/ping                    liveness probe
@@ -10,18 +10,14 @@
 //	POST /v1/components/{name}       upload/replace a component's source → incremental re-run
 //	GET  /v1/stats                   engine + store counters
 //	POST /v1/scrub                   re-validate every store record, drop/quarantine bad ones
-//	GET  /v1/store/{kind}/{key}      raw record payload (remote tier read)
-//	PUT  /v1/store/{kind}/{key}      raw record payload (remote tier write)
 //	POST /v1/store/batch-get         bulk read: JSON ref manifest → framed record stream
 //	POST /v1/store/batch-put         bulk write: framed record stream
 //
-// The per-record store endpoints carry naked payload bytes: envelope
-// framing and checksums remain a per-disk concern, and every payload
-// is re-validated by its consumer, so the wire adds no trust. The
-// batch endpoints speak internal/depstore/wire's framed stream —
+// The store endpoints speak internal/depstore/wire's framed stream —
 // per-frame checksums, validated end-to-end before a single record is
 // admitted — with gzip transport compression negotiated via the
-// standard Accept-Encoding/Content-Encoding headers.
+// standard Accept-Encoding/Content-Encoding headers. A client's single
+// Get or Put is a one-record batch.
 //
 // Load shedding: Handler bounds concurrently served requests (default
 // defaultMaxInFlight, tune with SetMaxInFlight); excess requests are
@@ -50,8 +46,8 @@ import (
 	"fsdep/internal/depstore/wire"
 )
 
-// maxUpload bounds request bodies (component sources and store
-// payloads).
+// maxUpload bounds JSON request bodies (component sources, batch-get
+// manifests).
 const maxUpload = 64 << 20
 
 // maxBatchBytes bounds a decompressed batch stream's cumulative
@@ -129,8 +125,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/components/{name}", s.handleUpload)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/scrub", s.handleScrub)
-	mux.HandleFunc("GET /v1/store/{kind}/{key}", s.handleStoreGet)
-	mux.HandleFunc("PUT /v1/store/{kind}/{key}", s.handleStorePut)
 	mux.HandleFunc("POST /v1/store/batch-get", s.handleBatchGet)
 	mux.HandleFunc("POST /v1/store/batch-put", s.handleBatchPut)
 	var h http.Handler = mux
@@ -558,57 +552,6 @@ func validRecordRef(kind, key string) bool {
 	return true
 }
 
-func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
-	kind, key := r.PathValue("kind"), r.PathValue("key")
-	if !validRecordRef(kind, key) {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed record reference"})
-		return
-	}
-	if s.store == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no store attached"})
-		return
-	}
-	payload, ok := s.store.Get(kind, key)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such record"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(payload)
-}
-
-func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
-	kind, key := r.PathValue("kind"), r.PathValue("key")
-	if !validRecordRef(kind, key) {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed record reference"})
-		return
-	}
-	if s.store == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no store attached"})
-		return
-	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUpload))
-	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
-		return
-	}
-	if err := s.store.Put(kind, key, payload); err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// batchManifest is the batch-get request body: the refs the client
-// wants in one round trip.
-type batchManifest struct {
-	Refs []struct {
-		Kind string `json:"kind"`
-		Key  string `json:"key"`
-	} `json:"refs"`
-}
-
 // countingWriter counts bytes written through it (the wire side of the
 // raw-vs-compressed stats).
 type countingWriter struct {
@@ -647,7 +590,7 @@ func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no store attached"})
 		return
 	}
-	var manifest batchManifest
+	var manifest wire.Manifest
 	if err := decodeBody(r, &manifest); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return

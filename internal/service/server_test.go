@@ -14,6 +14,7 @@ import (
 	"fsdep/internal/depmodel"
 	"fsdep/internal/depstore"
 	"fsdep/internal/depstore/remote"
+	"fsdep/internal/depstore/wire"
 	"fsdep/internal/sched"
 )
 
@@ -177,43 +178,67 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// postStatus POSTs body to url, asserts the answer's status, and
+// returns the (transparently decompressed) answer body.
+func postStatus(t *testing.T, url string, body []byte, wantStatus int) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("POST %s = %d, want %d (body %s)", url, resp.StatusCode, wantStatus, got)
+	}
+	return got
+}
+
+// manifestJSON renders a batch-get request body.
+func manifestJSON(t *testing.T, refs ...wire.Ref) []byte {
+	t.Helper()
+	blob, err := json.Marshal(wire.Manifest{Refs: refs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// framedBatch renders a batch-put request body.
+func framedBatch(t *testing.T, recs ...wire.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := wire.Write(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestStoreEndpoints(t *testing.T) {
 	_, _, ts := newServerT(t)
 	key := depstore.Key("wire-record")
-	url := ts.URL + "/v1/store/taint/" + key
-	payload := []byte("raw payload bytes, not json")
+	getURL, putURL := ts.URL+"/v1/store/batch-get", ts.URL+"/v1/store/batch-put"
 
-	getJSON(t, url, http.StatusNotFound, nil)
-
-	req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(payload))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT = %d, want 204", resp.StatusCode)
-	}
-
-	resp, err = http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(got) != string(payload) {
-		t.Errorf("GET = %d %q", resp.StatusCode, got)
+	// An absent record comes back as an explicit miss frame.
+	body := postStatus(t, getURL, manifestJSON(t, wire.Ref{Kind: "taint", Key: key}), http.StatusOK)
+	recs, err := wire.ReadAll(bytes.NewReader(body), 0)
+	if err != nil || len(recs) != 1 || !recs[0].Missing {
+		t.Fatalf("batch-get of an absent record = %+v, %v; want one miss frame", recs, err)
 	}
 
 	// Malformed references are rejected before touching the store.
-	for _, bad := range []string{
-		"/v1/store/TAINT/" + key, // uppercase kind
-		"/v1/store/taint/short",  // non-hex, too-short key
-		"/v1/store/taint/" + strings.Repeat("ab", 80), // oversized key
+	for _, bad := range []wire.Ref{
+		{Kind: "TAINT", Key: key},                      // uppercase kind
+		{Kind: "taint", Key: "short"},                  // non-hex, too-short key
+		{Kind: "taint", Key: strings.Repeat("ab", 80)}, // oversized key
 	} {
-		getJSON(t, ts.URL+bad, http.StatusBadRequest, nil)
+		postStatus(t, getURL, manifestJSON(t, bad), http.StatusBadRequest)
 	}
+	postStatus(t, putURL, framedBatch(t, wire.Record{Kind: "taint", Key: "../../escape", Payload: []byte("x")}),
+		http.StatusBadRequest)
 }
 
 func TestStoreEndpointsWithoutStore(t *testing.T) {
@@ -223,7 +248,11 @@ func TestStoreEndpointsWithoutStore(t *testing.T) {
 	}
 	ts := httptest.NewServer(NewServer(a, nil, nil, "test").Handler())
 	defer ts.Close()
-	getJSON(t, ts.URL+"/v1/store/taint/"+depstore.Key("x"), http.StatusServiceUnavailable, nil)
+	key := depstore.Key("x")
+	postStatus(t, ts.URL+"/v1/store/batch-get", manifestJSON(t, wire.Ref{Kind: "taint", Key: key}),
+		http.StatusServiceUnavailable)
+	postStatus(t, ts.URL+"/v1/store/batch-put", framedBatch(t, wire.Record{Kind: "taint", Key: key, Payload: []byte("x")}),
+		http.StatusServiceUnavailable)
 }
 
 // TestRemoteTierWarmStart is the fleet contract end to end, in

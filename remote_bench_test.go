@@ -1,10 +1,11 @@
 // BenchmarkRemoteWarmStart measures the cost a warm-start client pays
-// to pull an already-computed record set out of a daemon, batch
-// protocol versus the per-record fallback a pre-batch daemon forces.
-// The server injects a fixed per-request latency so the benchmark
-// models a real network hop instead of loopback syscall cost: with N
-// records the per-record path pays ~N round trips of it, the batch
-// path pays one. The round-trip ratio is asserted here (>=5x fewer);
+// to pull an already-computed record set out of a daemon: one bulk
+// prefetch of the whole manifest versus one single-ref batch-get per
+// record, the traffic a run pays without the prefetch (or after a
+// refused one). The server injects a fixed per-request latency so the
+// benchmark models a real network hop instead of loopback syscall
+// cost: with N records the per-record path pays N round trips of it,
+// the batch path pays one. The round-trip ratio is asserted here (>=5x fewer);
 // the wall-clock win is gated by scripts/bench.sh against the recorded
 // baseline.
 
@@ -54,37 +55,26 @@ func warmStartFixture(b *testing.B) (*depstore.Store, []depstore.Ref) {
 func BenchmarkRemoteWarmStart(b *testing.B) {
 	store, refs := warmStartFixture(b)
 	inner := service.NewServer(nil, store, nil, "bench").Handler()
-	slow := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(warmStartLatency)
-			h.ServeHTTP(w, r)
-		})
-	}
-	modern := httptest.NewServer(slow(inner))
-	defer modern.Close()
-	// A daemon built before the batch endpoints: same store, same
-	// per-record surface, 404 on the bulk routes — the client's silent
-	// fallback turns this into one round trip per record.
-	legacy := httptest.NewServer(slow(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/store/batch-") {
-			http.NotFound(w, r)
-			return
-		}
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(warmStartLatency)
 		inner.ServeHTTP(w, r)
-	})))
-	defer legacy.Close()
+	}))
+	defer daemon.Close()
 
 	// One warm start: a fresh client and cold local tier (remote-only
-	// plus hot memory, the CLI's degraded-local configuration) prefetches
-	// the manifest and then reads every record, exactly the sequence
-	// AnalyzeAll drives. Returns the round trips that start paid.
-	warmStart := func(b *testing.B, url string) uint64 {
-		c := remote.New(url)
+	// plus hot memory, the CLI's degraded-local configuration), with or
+	// without the manifest prefetch, then a read of every record,
+	// exactly the sequence AnalyzeAll drives. Returns the round trips
+	// that start paid.
+	warmStart := func(b *testing.B, prefetch bool) uint64 {
+		c := remote.New(daemon.URL)
 		local, err := depstore.OpenWith(depstore.Options{Remote: c, HotRecords: warmStartRecords})
 		if err != nil {
 			b.Fatal(err)
 		}
-		local.Prefetch(refs)
+		if prefetch {
+			local.Prefetch(refs)
+		}
 		for _, ref := range refs {
 			if _, ok := local.Get(ref.Kind, ref.Key); !ok {
 				b.Fatalf("warm start missed %s/%s", ref.Kind, ref.Key)
@@ -95,17 +85,17 @@ func BenchmarkRemoteWarmStart(b *testing.B) {
 
 	measured := make(map[string]float64, 2)
 	for _, bm := range []struct {
-		name string
-		url  string
+		name     string
+		prefetch bool
 	}{
-		{"batch", modern.URL},
-		{"per-record", legacy.URL},
+		{"batch", true},
+		{"per-record", false},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			var roundTrips uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				roundTrips += warmStart(b, bm.url)
+				roundTrips += warmStart(b, bm.prefetch)
 			}
 			perOp := float64(roundTrips) / float64(b.N)
 			b.ReportMetric(perOp, "roundtrips/op")
@@ -114,9 +104,9 @@ func BenchmarkRemoteWarmStart(b *testing.B) {
 	}
 
 	// The headline contract: batch warm start in >=5x fewer round trips.
-	// (Measured: 1 vs 25 — the prefetch, vs one probe that discovers the
-	// missing endpoint plus one GET per record.)
-	if batch, legacy := measured["batch"], measured["per-record"]; batch*5 > legacy {
-		b.Fatalf("batch warm start took %.1f round trips/op vs %.1f per-record: want >=5x fewer", batch, legacy)
+	// (Measured: 1 vs 24 — the prefetch, vs one single-ref batch-get
+	// per record.)
+	if batch, single := measured["batch"], measured["per-record"]; batch*5 > single {
+		b.Fatalf("batch warm start took %.1f round trips/op vs %.1f per-record: want >=5x fewer", batch, single)
 	}
 }

@@ -223,10 +223,10 @@ if [ -n "$gate" ]; then
 		echo "parallel gate: skipped ($cores cores < 4)" >&2
 	fi
 
-	# Warm-start gate: the batch store protocol must beat the
-	# per-record fallback on wall clock by BENCH_WARM_FLOOR (default
-	# 2x — the measured gap is ~10x, the floor only catches the batch
-	# path silently degrading to per-record traffic). The >=5x
+	# Warm-start gate: the bulk prefetch must beat one single-ref
+	# request per record on wall clock by BENCH_WARM_FLOOR (default
+	# 2x — the measured gap is ~10x, the floor only catches the
+	# prefetch silently degrading to per-record traffic). The >=5x
 	# round-trip ratio is asserted inside the benchmark itself.
 	awk -v floor="${BENCH_WARM_FLOOR:-2}" '
 	/"BenchmarkRemoteWarmStart\// && /ns_per_op/ {
