@@ -318,6 +318,11 @@ func AnalyzeAll(comps map[string]*Component, scenarios []Scenario, opts Options,
 	if err != nil {
 		return nil, err
 	}
+	if opts.Store != nil {
+		// Commit the run's records as one group, a failed run's too.
+		// Errors are swallowed: the store is a cache.
+		defer opts.Store.Flush()
+	}
 	// With a persistent store attached, warm scenario records make
 	// compilation unnecessary; pre-compiling eagerly would spend exactly
 	// the time the cache exists to save. Cold components still compile
@@ -344,11 +349,6 @@ func AnalyzeAll(comps map[string]*Component, scenarios []Scenario, opts Options,
 		return nil, err
 	}
 	FlushSummaries(opts.Store, unique)
-	if opts.Store != nil {
-		// Push the run's deferred record uploads in bulk (after the
-		// summary flush, which enqueues the last of them).
-		opts.Store.FlushRemote()
-	}
 	return res, nil
 }
 

@@ -93,6 +93,9 @@ func AnalyzeAllDegraded(comps map[string]*Component, scenarios []Scenario, opts 
 	if err != nil {
 		return nil, err
 	}
+	if opts.Store != nil {
+		defer opts.Store.Flush()
+	}
 	// Compile phase: failures come back as result values so one broken
 	// component does not mask another.
 	compileErrs, err := sched.Map(sopts, unique, func(_ int, c *Component) (error, error) {
@@ -136,9 +139,6 @@ func AnalyzeAllDegraded(comps map[string]*Component, scenarios []Scenario, opts 
 		}
 	}
 	FlushSummaries(opts.Store, unique)
-	if opts.Store != nil {
-		opts.Store.FlushRemote()
-	}
 	return run, nil
 }
 

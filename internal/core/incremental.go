@@ -98,6 +98,9 @@ func (s *Session) Components() map[string]*Component {
 func (s *Session) Run() ([]*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.opts.Store != nil {
+		defer s.opts.Store.Flush()
+	}
 	var stale []int
 	for i, ok := range s.fresh {
 		if !ok {
@@ -120,9 +123,6 @@ func (s *Session) Run() ([]*Result, error) {
 	for j, i := range stale {
 		s.results[i] = outs[j]
 		s.fresh[i] = true
-	}
-	if s.opts.Store != nil {
-		s.opts.Store.FlushRemote()
 	}
 	return append([]*Result(nil), s.results...), nil
 }
@@ -172,7 +172,7 @@ func (s *Session) Close() {
 		}
 	}
 	FlushSummaries(s.opts.Store, unique)
-	s.opts.Store.FlushRemote()
+	_ = s.opts.Store.Flush()
 }
 
 // dependentsLocked computes the transitive CCD dependents of name from

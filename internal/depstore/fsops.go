@@ -40,7 +40,9 @@ type FS interface {
 }
 
 // File is the writable temp-file handle CreateTemp returns: enough of
-// *os.File for the store's write-sync-close-rename commit sequence.
+// *os.File for the store's write-sync-close-rename commit sequence. A
+// commit calls Sync on a goroutine of its own, after Write returned
+// and before Close is called.
 type File interface {
 	Write(p []byte) (int, error)
 	// Sync flushes the file's data to stable storage.
@@ -79,8 +81,8 @@ func (OSFS) WalkDir(root string, fn fs.WalkDirFunc) error { return filepath.Walk
 
 // SyncDir implements FS. Directory fsync is how POSIX makes a rename
 // or entry creation durable; on filesystems where directories cannot
-// be fsynced the error is surfaced to the caller, which treats it like
-// any other failed Put.
+// be fsynced the error is surfaced to the caller, which reports it
+// from the commit like any other failure.
 func (OSFS) SyncDir(path string) error {
 	d, err := os.Open(path)
 	if err != nil {

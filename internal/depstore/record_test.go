@@ -55,6 +55,7 @@ func TestTaintRecordRoundTrip(t *testing.T) {
 	if err := SaveTaint(s, key, res); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flushT(t, s)
 	got, ok := LoadTaint(s, key, p)
 	if !ok {
 		t.Fatal("load missed a just-saved record")
@@ -110,6 +111,7 @@ func TestTaintRecordSkipsTruncatedRuns(t *testing.T) {
 	if err := SaveTaint(s, key, res); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flushT(t, s)
 	if _, ok := s.Get(KindTaint, key); ok {
 		t.Fatal("truncated run was persisted")
 	}
@@ -123,6 +125,7 @@ func TestTaintRecordRefusesForeignProgram(t *testing.T) {
 	if err := SaveTaint(s, key, res); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flushT(t, s)
 	// A program without the recorded branch positions cannot rehydrate
 	// the sites; the load must refuse, not fabricate.
 	other := compileT(t, `
@@ -158,6 +161,7 @@ func TestScenarioRecordRoundTrip(t *testing.T) {
 	if err := SaveScenario(s, key, set); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flushT(t, s)
 	got, ok := LoadScenario(s, key)
 	if !ok {
 		t.Fatal("load missed a just-saved scenario")
@@ -176,6 +180,7 @@ func TestScenarioRecordRefusesInvalidDeps(t *testing.T) {
 	if err := s.Put(KindScenario, key, []byte(bad)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	if _, ok := LoadScenario(s, key); ok {
 		t.Fatal("invalid dependency set loaded")
 	}
@@ -200,6 +205,7 @@ func TestSummariesRecordRoundTrip(t *testing.T) {
 	if err := SaveSummaries(s, key, recs); err != nil {
 		t.Fatalf("save: %v", err)
 	}
+	flushT(t, s)
 	got, ok := LoadSummaries(s, key)
 	if !ok {
 		t.Fatal("load missed just-saved summaries")

@@ -7,7 +7,10 @@
 // be served again, including records left outside the store's layout
 // (such as a pre-fan-out cache's flat kind-key.rec files), so the
 // store converges back to all-valid after any crash, corruption, or
-// upgrade. fsdepd runs it at startup with -scrub and on demand via
+// upgrade. It also deletes the temp files of commits that never
+// finished — a process killed between its Puts and their Flush leaves
+// them behind — once they are old enough that no live commit can own
+// them. fsdepd runs it at startup with -scrub and on demand via
 // POST /v1/scrub.
 
 package depstore
@@ -19,11 +22,17 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 )
 
 // QuarantineDir is the subdirectory of the store root that ScrubQ
 // moves refused records into. Scrub and Evict skip it.
 const QuarantineDir = "quarantine"
+
+// staleTempAge is the age past which Scrub deletes a temp file. A
+// commit's temp files live from its Puts to its Flush, which an
+// analysis run spaces by far less than this.
+const staleTempAge = time.Hour
 
 // ScrubOptions configures a scrub pass.
 type ScrubOptions struct {
@@ -36,8 +45,9 @@ type ScrubOptions struct {
 
 // ScrubReport counts what one scrub pass observed. Removed plus
 // Quarantined equals the number of refused records that were healed;
-// Errors counts records the pass could neither validate nor move (they
-// stay for the next pass).
+// StaleTemps counts the abandoned temp files deleted; Errors counts
+// files the pass could neither validate nor move (they stay for the
+// next pass).
 type ScrubReport struct {
 	Scanned      int `json:"scanned"`
 	Valid        int `json:"valid"`
@@ -46,6 +56,7 @@ type ScrubReport struct {
 	KindMismatch int `json:"kind_mismatch"`
 	Removed      int `json:"removed"`
 	Quarantined  int `json:"quarantined"`
+	StaleTemps   int `json:"stale_temps"`
 	Errors       int `json:"errors"`
 }
 
@@ -57,8 +68,9 @@ func (r ScrubReport) Bad() int { return r.Corrupt + r.VersionSkew + r.KindMismat
 // refuse or can never reach: unparseable or torn envelopes, checksum
 // failures, format-version skew, and records whose envelope kind
 // disagrees with their on-disk location or that sit outside
-// kind/ab/cd/key.rec. Valid records are untouched, as are in-flight
-// temp files (a concurrent Put's rename must not race the scrub).
+// kind/ab/cd/key.rec. Valid records are untouched. Temp files older
+// than staleTempAge are deleted; younger ones stay, so a scrub never
+// races the rename of a commit in flight.
 // Remote-only stores are a no-op. Safe to run on a live store:
 // concurrent Gets of a record being removed degrade to a clean miss.
 func (s *Store) Scrub(opts ScrubOptions) (ScrubReport, error) {
@@ -78,6 +90,10 @@ func (s *Store) Scrub(opts ScrubOptions) (ScrubReport, error) {
 			if path == qdir {
 				return fs.SkipDir
 			}
+			return nil
+		}
+		if strings.HasSuffix(d.Name(), ".tmp") {
+			s.removeIfStale(path, d, &rep)
 			return nil
 		}
 		if !strings.HasSuffix(d.Name(), ".rec") {
@@ -117,6 +133,19 @@ func (s *Store) Scrub(opts ScrubOptions) (ScrubReport, error) {
 		return nil
 	})
 	return rep, walkErr
+}
+
+// removeIfStale deletes a temp file older than staleTempAge.
+func (s *Store) removeIfStale(path string, d fs.DirEntry, rep *ScrubReport) {
+	info, err := d.Info()
+	if err != nil || time.Since(info.ModTime()) < staleTempAge {
+		return // gone already, or possibly a live commit's
+	}
+	if err := s.fsys.Remove(path); err != nil && !os.IsNotExist(err) {
+		rep.Errors++
+		return
+	}
+	rep.StaleTemps++
 }
 
 // recordVerdict classifies one on-disk record during a scrub.

@@ -30,6 +30,7 @@ func seedScrubStore(t *testing.T) (*Store, map[string]string) {
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	whole, err := os.ReadFile(s.path(KindTaint, k))
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,7 @@ func seedScrubStore(t *testing.T) (*Store, map[string]string) {
 	if err := s.Put(KindScenario, k, []byte(`{"v":3}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	dst := s.path(KindTaint, k)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		t.Fatal(err)
@@ -141,6 +143,7 @@ func TestScrubHealsTheRepeatedInvalidation(t *testing.T) {
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	corruptRecord(t, s, KindTaint, k, []byte("garbage"))
 	for i := 0; i < 3; i++ {
 		if _, ok := s.Get(KindTaint, k); ok {
@@ -162,6 +165,7 @@ func TestScrubHealsTheRepeatedInvalidation(t *testing.T) {
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	if _, ok := s.Get(KindTaint, k); !ok {
 		t.Error("store did not heal after scrub + re-put")
 	}
@@ -186,6 +190,7 @@ func TestScrubRemoteOnlyAndLegacyLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flushT(t, s)
 	flatPath := filepath.Join(s.dir, KindTaint+"-"+flat+".rec")
 	if err := os.Rename(s.path(KindTaint, flat), flatPath); err != nil {
 		t.Fatal(err)
@@ -244,6 +249,10 @@ func TestEvictRacingGetPut(t *testing.T) {
 				k := keyOf[(i+w)%keys]
 				if err := s.Put(KindTaint, k, payloads[k]); err != nil {
 					t.Errorf("put: %v", err)
+					return
+				}
+				if err := s.Flush(); err != nil {
+					t.Errorf("flush: %v", err)
 					return
 				}
 				if got, ok := s.Get(KindTaint, k); ok && string(got) != string(payloads[k]) {

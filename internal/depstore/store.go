@@ -11,14 +11,17 @@
 // address and stale records are simply never read again. Each record
 // is one file: a versioned JSON header line carrying a checksum,
 // followed by the raw payload bytes (kept outside the header's JSON so
-// warm loads parse the payload exactly once, in the caller's decode);
-// writes go through a temp file plus atomic rename, so
+// warm loads parse the payload exactly once, in the caller's decode).
+// Writes are group commits: each Put writes a temp file in call order
+// and fsyncs it in the background, and Flush renames the group into
+// place in the same order and syncs each changed directory once, so
 // concurrent processes sharing a cache directory see either a complete
-// record or none. Loads refuse corruption the same way
-// internal/checkpoint refuses torn journal tails: a record that fails
-// to parse, carries an unknown format version, or does not match its
-// checksum is treated as absent (counted as an invalidation), never as
-// an error — the caller falls back to cold extraction.
+// record or none, and a flushed record survives a host crash. Loads
+// refuse corruption the same way internal/checkpoint refuses torn
+// journal tails: a record that fails to parse, carries an unknown
+// format version, or does not match its checksum is treated as absent
+// (counted as an invalidation), never as an error — the caller falls
+// back to cold extraction.
 //
 // On disk, records fan out two levels by key prefix
 // (kind/ab/cd/key.rec) so a store shared by a fleet never piles tens
@@ -38,6 +41,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,17 +142,27 @@ type Store struct {
 	// hot is the bounded in-memory record LRU in front of the disk tier
 	// (nil = disabled; see Options.HotRecords).
 	hot *hotTier
-	// dirsReady caches fan-out directories already created and synced,
-	// so the steady-state Put pays one map load instead of a MkdirAll
-	// plus a directory-fsync chain.
+	// dirsReady holds the directories whose creation a commit has made
+	// durable, so the steady-state Put pays one map load instead of a
+	// MkdirAll, and a commit syncs the parent of every other directory
+	// on a record's path.
 	dirsReady sync.Map // dir path -> struct{}
 
-	// pending buffers remote uploads while another tier can answer
-	// read-after-write, so a cold analysis pushes its records in a few
-	// bulk round trips (threshold flushes plus FlushRemote at run
-	// boundaries) instead of one HTTP call per record.
-	pendingMu sync.Mutex
-	pending   []BatchRecord
+	// pend is the group Puts stage into until the next Flush (or the
+	// putFlushThreshold-th Put) commits it. stageMu guards it and
+	// orders staging, so temp files are written in Put order.
+	stageMu sync.Mutex
+	pend    *batch
+	// pendSet holds the records of every group not yet fully committed,
+	// by ref: it answers Get and Prefetch in the meantime, for both
+	// tiers. pendMu guards only the map, so a read never waits on a
+	// Put's file I/O.
+	pendMu  sync.RWMutex
+	pendSet map[Ref]*staged
+	// syncSlots bounds the fsyncs in flight across all of the store's
+	// commits, file and directory alike, at putFlushThreshold: each
+	// one holds an OS thread until the disk answers.
+	syncSlots chan struct{}
 
 	// negative remembers refs a completed bulk prefetch proved absent
 	// from the remote, so the run's cold misses skip the one-ref remote
@@ -184,10 +198,11 @@ type Options struct {
 	// FS overrides the filesystem the local tier runs on; nil means the
 	// real one (OSFS). Tests inject internal/faultfs here.
 	FS FS
-	// NoSync skips the fsync-before-rename and directory-fsync steps of
-	// each commit. A crash can then leave a renamed-but-empty record —
-	// refused on read, so never served, but the cached work is lost.
-	// Reserved for benchmarks and throwaway stores.
+	// NoSync skips every fsync of a commit: the temp files before their
+	// renames and the directories after them. A crash can then leave a
+	// renamed-but-empty record — refused on read, so never served, but
+	// the cached work is lost. Reserved for benchmarks and throwaway
+	// stores.
 	NoSync bool
 	// HotRecords bounds the in-memory hot-record LRU in front of the
 	// disk tier (0 = disabled). The CLIs and the daemon pass
@@ -225,6 +240,8 @@ func OpenWith(o Options) (*Store, error) {
 		fsys = OSFS{}
 	}
 	if o.Dir != "" {
+		// Clean, so walking up from a record reaches the root exactly.
+		o.Dir = filepath.Clean(o.Dir)
 		if err := fsys.MkdirAll(o.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("depstore: opening cache: %w", err)
 		}
@@ -239,7 +256,9 @@ func OpenWith(o Options) (*Store, error) {
 		probe.Close()
 		fsys.Remove(probe.Name())
 	}
-	s := &Store{dir: o.Dir, remote: o.Remote, fsys: fsys, noSync: o.NoSync}
+	s := &Store{dir: o.Dir, remote: o.Remote, fsys: fsys, noSync: o.NoSync,
+		pend: &batch{}, pendSet: make(map[Ref]*staged),
+		syncSlots: make(chan struct{}, putFlushThreshold)}
 	if o.HotRecords > 0 {
 		s.hot = newHotTier(o.HotRecords)
 	}
@@ -311,9 +330,10 @@ func (s *Store) path(kind, key string) string {
 // validation — unparseable, wrong format version, wrong kind, checksum
 // mismatch — is counted as an invalidation and falls through like a
 // miss; it is never an error, matching checkpoint's corruption-refusing
-// load discipline. A local hit refreshes the record's timestamp in
-// place (the LRU signal for Evict); a remote hit is written back to
-// the local tier so the next lookup is local.
+// load discipline. A record Put but not yet flushed is a hit. A local
+// hit refreshes the record's timestamp in place (the LRU signal for
+// Evict); a remote hit is written back to the local tier so the next
+// lookup is local.
 func (s *Store) Get(kind, key string) ([]byte, bool) {
 	if s.hot != nil {
 		if payload, ok := s.hot.get(kind, key); ok {
@@ -321,6 +341,10 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 			atomic.AddUint64(&s.hotHits, 1)
 			return payload, true
 		}
+	}
+	if payload, ok := s.pending(kind, key); ok {
+		atomic.AddUint64(&s.hits, 1)
+		return payload, true
 	}
 	if s.dir != "" {
 		if payload, ok := s.localGet(kind, key); ok {
@@ -338,15 +362,7 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 		if payload, ok := s.remote.Get(kind, key); ok {
 			atomic.AddUint64(&s.remoteHits, 1)
 			s.hotAdd(kind, key, payload)
-			if s.dir != "" {
-				// Best-effort write-back; a failure just leaves the next
-				// lookup remote again — but it is counted, so a read-only
-				// cache directory shows up in -stats instead of silently
-				// paying a remote round-trip per lookup forever.
-				if err := s.localPut(kind, key, payload); err != nil {
-					atomic.AddUint64(&s.writeBackErrs, 1)
-				}
-			}
+			s.writeBack([]BatchRecord{{Ref: Ref{Kind: kind, Key: key}, Payload: payload}})
 			return payload, true
 		}
 		atomic.AddUint64(&s.remoteMisses, 1)
@@ -429,91 +445,143 @@ func (s *Store) localGet(kind, key string) ([]byte, bool) {
 	return payload, true
 }
 
-// Put stores payload under (kind, key) in the local tier (temp file +
-// atomic rename, so a concurrent reader — or a reader after a crash
-// mid-write — sees either the complete record or none) and pushes it
-// to the remote tier when one is attached, warming the shared store.
-// Put errors are reportable but never fatal to an analysis: the store
-// is a cache.
+// Put stores payload under (kind, key): at once in the hot tier, and
+// in the local and remote tiers by the group commit of the next Flush.
+// With a local tier, Put writes the record's temp file before it
+// returns and starts the file's fsync; until the Flush, the record
+// answers Get from memory. The Put that brings the group to
+// putFlushThreshold records commits it and returns the commit's error;
+// every other Put returns nil, and its staging error comes back from
+// the Flush. Put errors are reportable but never fatal to an analysis:
+// the store is a cache.
 func (s *Store) Put(kind, key string, payload []byte) error {
 	s.hotAdd(kind, key, payload)
 	s.notePresent(kind, key)
-	var err error
-	if s.dir != "" {
-		err = s.localPut(kind, key, payload)
+	rec := &staged{BatchRecord: BatchRecord{Ref: Ref{Kind: kind, Key: key}, Payload: payload}}
+	s.stageMu.Lock()
+	s.pendMu.Lock()
+	s.pendSet[rec.Ref] = rec
+	s.pendMu.Unlock()
+	s.stage(s.pend, rec)
+	var full *batch
+	if len(s.pend.recs) >= putFlushThreshold {
+		full, s.pend = s.pend, &batch{}
 	}
-	if s.remote != nil && !s.deferRemotePut(kind, key, payload) {
-		if rerr := s.remote.Put(kind, key, payload); rerr != nil {
-			atomic.AddUint64(&s.remoteErrs, 1)
-			if err == nil && s.dir == "" {
-				err = rerr
-			}
-		} else {
-			atomic.AddUint64(&s.remoteWrites, 1)
-		}
+	s.stageMu.Unlock()
+	if full == nil {
+		return nil
 	}
+	return s.commit(full, true)
+}
+
+// putFlushThreshold is the largest group a commit takes: Put commits
+// the group itself when it reaches this size, and PutBatch and the
+// write-backs split what they are given into groups of it. That bounds
+// the pending records' memory, the temp files held open, and the work
+// a crash can lose; syncSlots bounds the fsyncs in flight at the same
+// figure.
+const putFlushThreshold = 64
+
+// Flush commits every record Put since the last Flush as one group: it
+// waits for their fsyncs, renames them into place in Put order, syncs
+// every directory that gained an entry (each once, concurrently), and
+// then pushes the group to the remote tier. It returns the first
+// error: a record that could not be staged or committed, a directory
+// that could not be synced, or, for a remote-only store, a failed push
+// (with a local tier a failed push is only counted). Analyses call it
+// at run boundaries; with nothing pending it does nothing.
+func (s *Store) Flush() error {
+	s.stageMu.Lock()
+	b := s.pend
+	s.pend = &batch{}
+	s.stageMu.Unlock()
+	return s.commit(b, true)
+}
+
+// PutBatch stores recs like one Put each, but commits them itself
+// before it returns, in groups of at most putFlushThreshold, so nil
+// means every record is on stable storage; fsdepd acknowledges a
+// batch-put only then. It returns the first group's error, after
+// trying every group. Records pending from earlier Puts are left to
+// their Flush.
+func (s *Store) PutBatch(recs []BatchRecord) error {
+	for _, rec := range recs {
+		s.hotAdd(rec.Kind, rec.Key, rec.Payload)
+		s.notePresent(rec.Kind, rec.Key)
+	}
+	_, err := s.commitAll(recs, true)
 	return err
 }
 
-// putFlushThreshold is the pending-upload count that triggers a
-// mid-run bulk flush, bounding both queue memory and the blast radius
-// of a crash (at most one threshold's worth of un-pushed records; the
-// local tier already holds them all).
-const putFlushThreshold = 64
-
-// deferRemotePut enqueues a remote upload for bulk transfer instead of
-// issuing it now. Deferral requires another tier (local disk or hot
-// memory) that can answer read-after-write in the interim; otherwise
-// the caller pushes the record immediately.
-func (s *Store) deferRemotePut(kind, key string, payload []byte) bool {
-	if s.dir == "" && s.hot == nil {
-		return false
+// pending returns the payload of a record Put but not yet committed.
+func (s *Store) pending(kind, key string) ([]byte, bool) {
+	s.pendMu.RLock()
+	defer s.pendMu.RUnlock()
+	if rec, ok := s.pendSet[Ref{Kind: kind, Key: key}]; ok {
+		return rec.Payload, true
 	}
-	s.pendingMu.Lock()
-	s.pending = append(s.pending, BatchRecord{Ref: Ref{Kind: kind, Key: key}, Payload: payload})
-	var flush []BatchRecord
-	if len(s.pending) >= putFlushThreshold {
-		flush = s.pending
-		s.pending = nil
-	}
-	s.pendingMu.Unlock()
-	if flush != nil {
-		s.pushBatch(flush)
-	}
-	return true
+	return nil, false
 }
 
-// FlushRemote pushes any pending deferred uploads to the remote tier.
-// Analyses call it at run boundaries (after summaries are flushed);
-// it is a no-op for stores with nothing pending.
-func (s *Store) FlushRemote() {
-	s.pendingMu.Lock()
-	flush := s.pending
-	s.pending = nil
-	s.pendingMu.Unlock()
-	if len(flush) > 0 {
-		s.pushBatch(flush)
+// writeBack caches records the remote tier served in the local tier,
+// in groups. A failure just leaves the next lookup remote again — but
+// each record that could not be cached is counted, so a read-only
+// cache directory shows up in -stats instead of silently paying a
+// remote round trip per lookup forever.
+func (s *Store) writeBack(recs []BatchRecord) {
+	if s.dir == "" {
+		return
 	}
+	failed, _ := s.commitAll(recs, false)
+	atomic.AddUint64(&s.writeBackErrs, uint64(failed))
 }
 
-// pushBatch uploads one pending batch. A failed batch counts one
-// remote error per record it carried; the local tiers still hold every
-// one of them, so the cost is a colder daemon, never a lost answer.
-func (s *Store) pushBatch(recs []BatchRecord) {
+// commitAll stages recs and commits them in groups of at most
+// putFlushThreshold, each group committed before the next is staged,
+// so however many records arrive at once the temp files held open stay
+// bounded. It returns how many records failed to reach the local tier
+// and the first group's error.
+func (s *Store) commitAll(recs []BatchRecord, push bool) (failed int, first error) {
+	for len(recs) > 0 {
+		n := min(len(recs), putFlushThreshold)
+		b := &batch{}
+		for _, rec := range recs[:n] {
+			s.stage(b, &staged{BatchRecord: rec})
+		}
+		if err := s.commit(b, push); err != nil && first == nil {
+			first = err
+		}
+		for _, rec := range b.recs {
+			if rec.err != nil {
+				failed++
+			}
+		}
+		recs = recs[n:]
+	}
+	return failed, first
+}
+
+// pushBatch uploads one group and reports whether it was delivered. A
+// failed batch counts one remote error per record it carried; with a
+// local tier the records are still there, so the cost is a colder
+// daemon, never a lost answer.
+func (s *Store) pushBatch(recs []BatchRecord) bool {
 	if s.remote.BatchPut(recs) {
 		atomic.AddUint64(&s.remoteWrites, uint64(len(recs)))
-	} else {
-		atomic.AddUint64(&s.remoteErrs, uint64(len(recs)))
+		return true
 	}
+	atomic.AddUint64(&s.remoteErrs, uint64(len(recs)))
+	return false
 }
 
 // Prefetch bulk-fetches the given refs into the local tiers ahead of
 // an analysis, so a warm start against a remote store pays one round
-// trip instead of one per record. Refs already present locally are
-// skipped (and admitted to the hot tier); the rest travel in a single
-// BatchGet. A failed batch admits nothing and degrades silently — the
-// analysis falls back to one-ref fetches on miss, byte-identical
-// either way.
+// trip instead of one per record. Refs already present locally or
+// pending are skipped (local ones admitted to the hot tier); the rest
+// travel in a single BatchGet, and the records it returns are written
+// back in groups. A failed batch admits nothing and degrades
+// silently — the analysis falls back to one-ref fetches on miss,
+// byte-identical either way.
 func (s *Store) Prefetch(refs []Ref) {
 	if s.remote == nil || len(refs) == 0 {
 		return
@@ -524,6 +592,9 @@ func (s *Store) Prefetch(refs []Ref) {
 			if _, ok := s.hot.get(ref.Kind, ref.Key); ok {
 				continue
 			}
+		}
+		if _, ok := s.pending(ref.Kind, ref.Key); ok {
+			continue
 		}
 		if s.dir != "" {
 			if payload, ok := s.localGet(ref.Kind, ref.Key); ok {
@@ -542,6 +613,7 @@ func (s *Store) Prefetch(refs []Ref) {
 	}
 	// Admit by the requested refs, not by whatever the answer carries:
 	// only addresses this process derived ever reach the disk tier.
+	admitted := make([]BatchRecord, 0, len(got))
 	for _, ref := range missing {
 		payload, have := got[ref]
 		if !have {
@@ -551,89 +623,213 @@ func (s *Store) Prefetch(refs []Ref) {
 		atomic.AddUint64(&s.remoteHits, 1)
 		atomic.AddUint64(&s.prefetched, 1)
 		s.hotAdd(ref.Kind, ref.Key, payload)
-		if s.dir != "" {
-			if err := s.localPut(ref.Kind, ref.Key, payload); err != nil {
-				atomic.AddUint64(&s.writeBackErrs, 1)
+		admitted = append(admitted, BatchRecord{Ref: ref, Payload: payload})
+	}
+	s.writeBack(admitted)
+}
+
+// staged is one record of a group commit. With a local tier its temp
+// file holds the record and its fsync is under way; err is the first
+// failure of its staging, fsync or rename.
+type staged struct {
+	BatchRecord
+	dst string // the record's path ("" without a local tier)
+	tmp File   // nil when there is nothing to rename
+	err error
+}
+
+// batch is one group commit: its records in Put order, the fsyncs of
+// their temp files, and every directory its MkdirAll calls may have
+// created, true once one of those calls succeeded.
+type batch struct {
+	recs  []*staged
+	syncs sync.WaitGroup
+	made  map[string]bool
+}
+
+// stage adds rec to b. With a local tier it writes the record's temp
+// file on the calling goroutine and fsyncs it on another, so the
+// fsyncs of a group overlap while every other filesystem operation
+// keeps the callers' order.
+func (s *Store) stage(b *batch, rec *staged) {
+	b.recs = append(b.recs, rec)
+	if s.dir == "" {
+		return
+	}
+	rec.dst = s.path(rec.Kind, rec.Key)
+	rec.tmp, rec.err = s.writeTemp(b, rec.dst, rec.Kind, rec.Payload)
+	if rec.tmp != nil && !s.noSync {
+		b.syncs.Add(1)
+		go func() {
+			defer b.syncs.Done()
+			if err := s.fsync(rec.tmp.Sync); err != nil {
+				rec.err = fmt.Errorf("depstore: syncing %s record: %w", rec.Kind, err)
 			}
-		}
+		}()
 	}
 }
 
-func (s *Store) localPut(kind, key string, payload []byte) error {
-	env := envelope{
-		Format: formatVersion,
-		Kind:   kind,
-		Sum:    payloadSum(payload),
-	}
-	header, err := json.Marshal(&env)
+// fsync runs one file or directory sync once a slot of syncSlots is
+// free.
+func (s *Store) fsync(op func() error) error {
+	s.syncSlots <- struct{}{}
+	defer func() { <-s.syncSlots }()
+	return op()
+}
+
+// writeTemp writes a record's envelope and payload to a new temp file
+// in the record's leaf directory, creating the directory if need be.
+func (s *Store) writeTemp(b *batch, dst, kind string, payload []byte) (File, error) {
+	header, err := json.Marshal(&envelope{Format: formatVersion, Kind: kind, Sum: payloadSum(payload)})
 	if err != nil {
-		return fmt.Errorf("depstore: encoding %s record: %w", kind, err)
+		return nil, fmt.Errorf("depstore: encoding %s record: %w", kind, err)
 	}
 	blob := make([]byte, 0, len(header)+1+len(payload))
 	blob = append(blob, header...)
 	blob = append(blob, '\n')
 	blob = append(blob, payload...)
-	dst := s.path(kind, key)
 	dir := filepath.Dir(dst)
-	if err := s.ensureDir(dir); err != nil {
-		return fmt.Errorf("depstore: writing %s record: %w", kind, err)
+	if err := s.mkdir(b, dir); err != nil {
+		return nil, fmt.Errorf("depstore: writing %s record: %w", kind, err)
 	}
 	tmp, err := s.fsys.CreateTemp(dir, "."+kind+"-*.tmp")
 	if err != nil {
-		return fmt.Errorf("depstore: writing %s record: %w", kind, err)
+		return nil, fmt.Errorf("depstore: writing %s record: %w", kind, err)
 	}
 	if _, err := tmp.Write(blob); err != nil {
 		tmp.Close()
 		s.fsys.Remove(tmp.Name())
-		return fmt.Errorf("depstore: writing %s record: %w", kind, err)
+		return nil, fmt.Errorf("depstore: writing %s record: %w", kind, err)
 	}
-	// Fsync before the rename: without it, a host crash shortly after
-	// commit can leave the rename durable but the data not — a
-	// renamed-but-empty (or torn) record. Such a record is refused on
-	// read, never served, but the cached work is silently gone; syncing
-	// closes the window. NoSync trades that window back for speed.
-	if !s.noSync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			s.fsys.Remove(tmp.Name())
-			return fmt.Errorf("depstore: syncing %s record: %w", kind, err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		s.fsys.Remove(tmp.Name())
-		return fmt.Errorf("depstore: writing %s record: %w", kind, err)
-	}
-	if err := s.fsys.Rename(tmp.Name(), dst); err != nil {
-		s.fsys.Remove(tmp.Name())
-		return fmt.Errorf("depstore: committing %s record: %w", kind, err)
-	}
-	atomic.AddUint64(&s.writes, 1)
-	return nil
+	return tmp, nil
 }
 
-// ensureDir creates (and, on first creation, fsyncs) one fan-out
-// directory. Newly created directory entries are only durable once
-// their parent directory is synced, so the first Put into each shard
-// syncs the chain from the new leaf up to the store root; after that
-// the steady-state cost is a single map load.
-func (s *Store) ensureDir(dir string) error {
-	if _, ok := s.dirsReady.Load(dir); ok {
+// mkdir creates a record's leaf directory unless a commit has already
+// made it durable, and notes in b every directory on the leaf's path
+// up to the store root that the call may have created. They count
+// even when MkdirAll fails: it may have made part of the path, and a
+// sibling record may live under that part.
+func (s *Store) mkdir(b *batch, leaf string) error {
+	if _, ok := s.dirsReady.Load(leaf); ok {
 		return nil
 	}
-	if err := s.fsys.MkdirAll(dir, 0o755); err != nil {
-		return err
+	err := s.fsys.MkdirAll(leaf, 0o755)
+	if b.made == nil {
+		b.made = make(map[string]bool)
 	}
+	for d := leaf; ; d = filepath.Dir(d) {
+		if _, ok := s.dirsReady.Load(d); ok {
+			break
+		}
+		b.made[d] = b.made[d] || err == nil
+		if d == s.dir || d == filepath.Dir(d) {
+			break
+		}
+	}
+	return err
+}
+
+// commit finishes group b: it waits for the fsyncs, closes and renames
+// the temp files in Put order, syncs the directories, and with push
+// set uploads the group to the remote tier. Until it returns, the
+// group's Put records keep answering reads. It returns the first error
+// in that order.
+func (s *Store) commit(b *batch, push bool) error {
+	if len(b.recs) == 0 {
+		return nil
+	}
+	b.syncs.Wait()
+	var first error
+	for _, rec := range b.recs {
+		if rec.tmp != nil {
+			rec.err = s.install(rec)
+		}
+		if first == nil {
+			first = rec.err
+		}
+	}
+	if err := s.syncDirs(b); err != nil && first == nil {
+		first = err
+	}
+	if push && s.remote != nil {
+		recs := make([]BatchRecord, len(b.recs))
+		for i, rec := range b.recs {
+			recs[i] = rec.BatchRecord
+		}
+		if !s.pushBatch(recs) && s.dir == "" && first == nil {
+			first = fmt.Errorf("depstore: pushing %d records to the remote tier failed", len(recs))
+		}
+	}
+	s.pendMu.Lock()
+	for _, rec := range b.recs {
+		if s.pendSet[rec.Ref] == rec {
+			delete(s.pendSet, rec.Ref)
+		}
+	}
+	s.pendMu.Unlock()
+	return first
+}
+
+// install closes a staged temp file and renames it into place, or
+// removes it when its fsync or close failed.
+func (s *Store) install(rec *staged) error {
+	err := rec.err
+	if cerr := rec.tmp.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("depstore: writing %s record: %w", rec.Kind, cerr)
+	}
+	if err == nil {
+		if err = s.fsys.Rename(rec.tmp.Name(), rec.dst); err == nil {
+			atomic.AddUint64(&s.writes, 1)
+			return nil
+		}
+		err = fmt.Errorf("depstore: committing %s record: %w", rec.Kind, err)
+	}
+	s.fsys.Remove(rec.tmp.Name())
+	return err
+}
+
+// syncDirs makes group b's directory entries durable. In one
+// concurrent wave, bounded by syncSlots, it fsyncs each leaf that
+// gained a record and the parent of each directory the group may have
+// created, every one of them once; then it marks the created
+// directories ready. It returns the first error in path order.
+func (s *Store) syncDirs(b *batch) error {
 	if !s.noSync {
-		for d := dir; ; d = filepath.Dir(d) {
-			if err := s.fsys.SyncDir(d); err != nil {
-				return err
+		dirty := make(map[string]bool)
+		for _, rec := range b.recs {
+			if rec.tmp != nil && rec.err == nil {
+				dirty[filepath.Dir(rec.dst)] = true
 			}
-			if d == s.dir || d == filepath.Dir(d) {
-				break
+		}
+		for d := range b.made {
+			dirty[filepath.Dir(d)] = true
+		}
+		dirs := make([]string, 0, len(dirty))
+		for d := range dirty {
+			dirs = append(dirs, d)
+		}
+		sort.Strings(dirs)
+		errs := make([]error, len(dirs))
+		var wg sync.WaitGroup
+		for i, d := range dirs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = s.fsync(func() error { return s.fsys.SyncDir(d) })
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return fmt.Errorf("depstore: syncing record directory: %w", err)
 			}
 		}
 	}
-	s.dirsReady.Store(dir, struct{}{})
+	for d, exists := range b.made {
+		if exists {
+			s.dirsReady.Store(d, struct{}{})
+		}
+	}
 	return nil
 }
 

@@ -20,12 +20,22 @@ func openT(t *testing.T) *Store {
 	return s
 }
 
+// flushT commits the store's pending Puts, failing the test on a
+// staging or commit error.
+func flushT(t *testing.T, s *Store) {
+	t.Helper()
+	if err := s.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openT(t)
 	payload := []byte(`{"hello":"world"}`)
 	if err := s.Put(KindTaint, Key("comp", "sig"), payload); err != nil {
 		t.Fatalf("put: %v", err)
 	}
+	flushT(t, s)
 	got, ok := s.Get(KindTaint, Key("comp", "sig"))
 	if !ok || string(got) != string(payload) {
 		t.Fatalf("get = %q, %v", got, ok)
@@ -67,6 +77,7 @@ func TestKindsDoNotCollide(t *testing.T) {
 	if err := s.Put(KindScenario, k, []byte(`"s"`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	got, ok := s.Get(KindTaint, k)
 	if !ok || string(got) != `"t"` {
 		t.Errorf("taint record = %q, %v", got, ok)
@@ -103,6 +114,7 @@ func TestCorruptRecordRefusedNotFatal(t *testing.T) {
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	whole, err := os.ReadFile(s.path(KindTaint, k))
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +137,7 @@ func TestCorruptRecordRefusedNotFatal(t *testing.T) {
 			if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 				t.Fatal(err)
 			}
+			flushT(t, s)
 			corruptRecord(t, s, KindTaint, k, raw)
 			if _, ok := s.Get(KindTaint, k); ok {
 				t.Fatal("corrupt record served as a hit")
@@ -166,6 +179,7 @@ func TestKindMismatchRefused(t *testing.T) {
 	if err := s.Put(KindScenario, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	// A scenario record renamed into a taint record's path must not be
 	// served as taint data.
 	dst := s.path(KindTaint, k)
@@ -220,6 +234,10 @@ func TestConcurrentSharedDir(t *testing.T) {
 				payload := []byte(fmt.Sprintf(`{"k":%d,"pad":%q}`, i%keys, strings.Repeat("a", 256)))
 				if err := s.Put(KindTaint, k, payload); err != nil {
 					t.Errorf("put: %v", err)
+					return
+				}
+				if err := s.Flush(); err != nil {
+					t.Errorf("flush: %v", err)
 					return
 				}
 				if got, ok := s.Get(KindTaint, k); ok {

@@ -72,6 +72,7 @@ func TestPutUsesShardedLayout(t *testing.T) {
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	want := filepath.Join(dir, KindTaint, k[:2], k[2:4], k+".rec")
 	if _, err := os.Stat(want); err != nil {
 		t.Errorf("record not at sharded path %s: %v", want, err)
@@ -88,6 +89,7 @@ func TestGetRefreshesMtime(t *testing.T) {
 	if err := s.Put(KindTaint, k, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	past := time.Now().Add(-24 * time.Hour)
 	p := s.path(KindTaint, k)
 	if err := os.Chtimes(p, past, past); err != nil {
@@ -132,6 +134,7 @@ func TestEvictDropsLeastRecentlyUsed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flushT(t, s)
 	paths := make([]string, len(keys))
 	for i, k := range keys {
 		paths[i] = s.path(KindTaint, k)
@@ -179,6 +182,7 @@ func TestEvictTieBreaksByPath(t *testing.T) {
 		}
 		paths = append(paths, s.path(KindTaint, k))
 	}
+	flushT(t, s)
 	// Identical mtimes: eviction order must be pure path order.
 	ts := time.Now().Add(-time.Hour)
 	for _, p := range paths {
@@ -222,6 +226,7 @@ func TestEvictNoopsUnderBudgetAndRemoteOnly(t *testing.T) {
 	if err := s.Put(KindTaint, Key("small"), []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	if n, err := s.Evict(1 << 30); err != nil || n != 0 {
 		t.Errorf("under-budget evict = %d, %v", n, err)
 	}
@@ -280,7 +285,7 @@ func TestTieredPutWarmsRemote(t *testing.T) {
 	if rem.puts != 0 {
 		t.Errorf("remote saw %d puts before the flush, want 0", rem.puts)
 	}
-	s.FlushRemote()
+	flushT(t, s)
 	if rem.puts != 1 {
 		t.Errorf("remote saw %d puts, want 1", rem.puts)
 	}
@@ -301,7 +306,9 @@ func TestTieredRemotePutErrorIsNotFatal(t *testing.T) {
 	if err := s.Put(KindTaint, Key("local-ok"), []byte(`{"v":1}`)); err != nil {
 		t.Fatalf("put with failing remote errored: %v", err)
 	}
-	s.FlushRemote()
+	if err := s.Flush(); err != nil {
+		t.Fatalf("flush with failing remote errored: %v", err)
+	}
 	if st := s.Stats(); st.RemoteErrors != 1 || st.Writes != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -321,6 +328,7 @@ func TestRemoteOnlyStore(t *testing.T) {
 	if err := s.Put(KindTaint, k, payload); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	got, ok := s.Get(KindTaint, k)
 	if !ok || string(got) != string(payload) {
 		t.Fatalf("get = %q, %v", got, ok)
@@ -332,11 +340,14 @@ func TestRemoteOnlyStore(t *testing.T) {
 	if st.RemoteHits != 1 || st.RemoteMisses != 1 || st.Misses != 1 || st.RemoteWrites != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	// Remote-only has no disk to fall back on, so a Put failure must
-	// surface.
+	// Remote-only has no disk to fall back on, so a failed push must
+	// surface, from the Flush that makes it.
 	rem.putErr = fmt.Errorf("daemon gone")
-	if err := s.Put(KindTaint, Key("lost"), payload); err == nil {
-		t.Error("remote-only put swallowed the remote failure")
+	if err := s.Put(KindTaint, Key("lost"), payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err == nil {
+		t.Error("remote-only flush swallowed the remote failure")
 	}
 }
 
@@ -355,6 +366,7 @@ func TestListRecordsListsOneKind(t *testing.T) {
 	if err := s.Put(KindScenario, Key("other"), []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
+	flushT(t, s)
 	got, err := ListRecords(dir, KindTaint)
 	if err != nil {
 		t.Fatal(err)

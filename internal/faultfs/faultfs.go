@@ -9,9 +9,15 @@
 // read fails, a rename is refused, or the host dies mid-write?
 //
 // Faults are driven per operation class by 1-based operation counters
-// and a seeded prng.Source — never wall-clock, never scheduling — so a
-// (Plan, seed) pair replays byte-for-byte, exactly like a faultdev
-// trial. Two fault families are supported:
+// and a seeded prng.Source — never wall-clock — so a (Plan, seed) pair
+// replays byte-for-byte, exactly like a faultdev trial, for every class
+// but one. The exception is sync: a depstore commit issues its mkdirs,
+// writes, renames and removes in Put order on one goroutine, but runs
+// its fsyncs concurrently (the temp files first, then the directories),
+// so which record or directory the Nth sync fault lands on depends on
+// scheduling. A plan with sync faults replays the same number of
+// faults, and tests over it must assert only what holds for any
+// assignment. Two fault families are supported:
 //
 //   - injected errors: the Nth operation of a class (read, write,
 //     rename, chtimes, remove, mkdir, sync) fails with ErrInjected and
@@ -75,8 +81,8 @@ type Plan struct {
 // FS wraps the real filesystem with a fault plan. It implements
 // internal/depstore's FS interface, so it can be slotted under a Store
 // via depstore.Options.FS. Safe for concurrent use; the per-class
-// counters make concurrent runs well-defined, and single-goroutine
-// runs fully deterministic.
+// counters make concurrent runs well-defined, and the operations of a
+// single goroutine fully deterministic.
 type FS struct {
 	mu     sync.Mutex
 	fail   map[Op]map[uint64]bool

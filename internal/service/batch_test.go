@@ -15,12 +15,14 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"fsdep/internal/depstore"
 	"fsdep/internal/depstore/remote"
 	"fsdep/internal/depstore/wire"
+	"fsdep/internal/faultfs"
 )
 
 // batchFixture seeds n distinct records (valid refs, compressible
@@ -99,6 +101,149 @@ func TestBatchRoundTrip(t *testing.T) {
 	if st.Service.BatchWireBytes == 0 || st.Service.BatchWireBytes >= st.Service.BatchRawBytes {
 		t.Fatalf("service compression stats raw=%d wire=%d", st.Service.BatchRawBytes, st.Service.BatchWireBytes)
 	}
+}
+
+// TestBatchPutAcknowledgesCommittedRecords: a 204 means the batch is on
+// disk, not just in the daemon's memory — a second store opened on the
+// daemon's directory, sharing nothing else with it, hits every record.
+func TestBatchPutAcknowledgesCommittedRecords(t *testing.T) {
+	_, store, ts := newServerT(t)
+	recs, _ := batchFixture(5)
+	if !remote.New(ts.URL).BatchPut(recs) {
+		t.Fatal("BatchPut failed")
+	}
+	other, err := depstore.Open(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		got, ok := other.Get(rec.Kind, rec.Key)
+		if !ok || !bytes.Equal(got, rec.Payload) {
+			t.Fatalf("acknowledged record %s/%s not on disk", rec.Kind, rec.Key)
+		}
+	}
+}
+
+// TestBatchPutCommitFailureIs500: a batch the store cannot commit is
+// refused with a 500, never acknowledged.
+func TestBatchPutCommitFailureIs500(t *testing.T) {
+	f := faultfs.New(faultfs.Plan{Fail: map[faultfs.Op][]uint64{faultfs.OpRename: {2}}})
+	store, err := depstore.OpenWith(depstore.Options{Dir: t.TempDir(), FS: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(nil, store, nil, "test").Handler())
+	defer ts.Close()
+	recs, _ := batchFixture(3)
+	stream := make([]wire.Record, len(recs))
+	for i, rec := range recs {
+		stream[i] = wire.Record{Kind: rec.Kind, Key: rec.Key, Payload: rec.Payload}
+	}
+	var body bytes.Buffer
+	if err := wire.Write(&body, stream); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/store/batch-put", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("batch-put with a failed rename = %d, want 500", resp.StatusCode)
+	}
+	if f.Count(faultfs.OpRename) != 3 {
+		t.Errorf("%d renames, want the whole batch attempted", f.Count(faultfs.OpRename))
+	}
+}
+
+// TestLargeBatchPutIsBounded: a batch-put of a few hundred records is
+// acknowledged and on disk, yet the store never held more than one
+// commit group's worth of temp files open, nor had more fsyncs in
+// flight than that. Each sync is slowed so that an unbounded commit
+// would show its overlap.
+func TestLargeBatchPutIsBounded(t *testing.T) {
+	const groupSize = 64 // depstore's commit group, and its fsync bound
+	f := &boundFS{delay: time.Millisecond}
+	store, err := depstore.OpenWith(depstore.Options{Dir: t.TempDir(), FS: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(nil, store, nil, "test").Handler())
+	defer ts.Close()
+	recs, _ := batchFixture(300)
+	if !remote.New(ts.URL).BatchPut(recs) {
+		t.Fatal("BatchPut of 300 records failed")
+	}
+	other, err := depstore.Open(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if got, ok := other.Get(rec.Kind, rec.Key); !ok || !bytes.Equal(got, rec.Payload) {
+			t.Fatalf("acknowledged record %s/%s not on disk", rec.Kind, rec.Key)
+		}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.maxOpen > groupSize {
+		t.Errorf("%d temp files open at once, want at most %d", f.maxOpen, groupSize)
+	}
+	if f.maxSyncs > groupSize {
+		t.Errorf("%d fsyncs in flight at once, want at most %d", f.maxSyncs, groupSize)
+	}
+	if f.open != 0 {
+		t.Errorf("%d temp files left open", f.open)
+	}
+}
+
+// boundFS is the real filesystem, recording the most temp files held
+// open and the most file and directory fsyncs in flight at one time.
+// Every fsync first sleeps for delay.
+type boundFS struct {
+	depstore.OSFS
+	delay             time.Duration
+	mu                sync.Mutex
+	open, syncs       int
+	maxOpen, maxSyncs int
+}
+
+func (f *boundFS) count(n, peak *int, d int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	*n += d
+	*peak = max(*peak, *n)
+}
+
+func (f *boundFS) CreateTemp(dir, pattern string) (depstore.File, error) {
+	file, err := f.OSFS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	f.count(&f.open, &f.maxOpen, 1)
+	return boundFile{File: file, fs: f}, nil
+}
+
+func (f *boundFS) SyncDir(path string) error {
+	return f.sync(func() error { return f.OSFS.SyncDir(path) })
+}
+
+func (f *boundFS) sync(op func() error) error {
+	f.count(&f.syncs, &f.maxSyncs, 1)
+	defer f.count(&f.syncs, &f.maxSyncs, -1)
+	time.Sleep(f.delay)
+	return op()
+}
+
+type boundFile struct {
+	depstore.File
+	fs *boundFS
+}
+
+func (b boundFile) Sync() error { return b.fs.sync(b.File.Sync) }
+
+func (b boundFile) Close() error {
+	b.fs.count(&b.fs.open, &b.fs.maxOpen, -1)
+	return b.File.Close()
 }
 
 func TestPrefetchWarmsEveryTier(t *testing.T) {

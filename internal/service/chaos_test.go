@@ -91,9 +91,12 @@ func TestChaosBreakerRecoveryByteIdentical(t *testing.T) {
 	_, _, healthyTS := newServerT(t)
 	want := analyzeVia(t, remote.New(healthyTS.URL))
 
-	// A second daemon whose store wire fails requests 4-15, then heals.
+	// A second daemon whose store wire fails requests 1-12, then heals.
+	// A cold remote-only run makes only two requests of its own — the
+	// prefetch and the flush's batch-put — so the window opens on the
+	// prefetch: refused, it sends every Get to the failing daemon.
 	failWindow := make([]uint64, 0, 12)
-	for i := uint64(4); i <= 15; i++ {
+	for i := uint64(1); i <= 12; i++ {
 		failWindow = append(failWindow, i)
 	}
 	store, err := depstore.Open(t.TempDir())
@@ -292,6 +295,9 @@ func TestScrubEndpoint(t *testing.T) {
 	// Corrupt a second record on disk behind the store's back.
 	bad := depstore.Key("scrub-bad")
 	if err := daemonStore.Put("taint", bad, []byte(`{"ok":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := daemonStore.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := depstore.ListRecords(daemonStore.Dir(), "taint")

@@ -644,7 +644,9 @@ func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 // handleBatchPut ingests one framed record stream. The whole stream is
 // parsed and validated — framing, per-frame checksums, record
 // references — before the first record is stored, so a truncated or
-// corrupted upload admits nothing.
+// corrupted upload admits nothing. The records are then committed in
+// bounded groups (Store.PutBatch), and the 204 comes only once all of
+// them are on stable storage.
 func (s *Server) handleBatchPut(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no store attached"})
@@ -668,17 +670,17 @@ func (s *Server) handleBatchPut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	for _, rec := range recs {
+	batch := make([]depstore.BatchRecord, len(recs))
+	for i, rec := range recs {
 		if rec.Missing || !validRecordRef(rec.Kind, rec.Key) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed record in batch"})
 			return
 		}
+		batch[i] = depstore.BatchRecord{Ref: depstore.Ref{Kind: rec.Kind, Key: rec.Key}, Payload: rec.Payload}
 	}
-	for _, rec := range recs {
-		if err := s.store.Put(rec.Kind, rec.Key, rec.Payload); err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
+	if err := s.store.PutBatch(batch); err != nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		return
 	}
 	s.batchPuts.Add(1)
 	s.batchRecords.Add(uint64(len(recs)))

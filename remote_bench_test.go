@@ -49,6 +49,10 @@ func warmStartFixture(b *testing.B) (*depstore.Store, []depstore.Ref) {
 			b.Fatal(err)
 		}
 	}
+	// Commit the records, so the daemon serves them from disk.
+	if err := store.Flush(); err != nil {
+		b.Fatal(err)
+	}
 	return store, refs
 }
 
