@@ -97,15 +97,15 @@ func TestCachedSweepAppUnionIdentical(t *testing.T) {
 	shared := corpus.Components()
 	build(shared)         // warm the cache
 	warm := build(shared) // fully cached pass
-	coldJSON, err := cold.MarshalJSON()
+	coldBin, err := cold.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmJSON, err := warm.MarshalJSON()
+	warmBin, err := warm.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(coldJSON, warmJSON) {
+	if !bytes.Equal(coldBin, warmBin) {
 		t.Error("cached sweep-app union differs from cold union")
 	}
 	if stats := core.TotalCacheStats(shared); stats.Hits == 0 {

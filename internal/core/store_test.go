@@ -68,7 +68,7 @@ func renderDeps(t *testing.T, results []*Result) string {
 	t.Helper()
 	var b strings.Builder
 	for _, res := range results {
-		blob, err := json.Marshal(res.Deps)
+		blob, err := json.Marshal(res.Deps.Deps())
 		if err != nil {
 			t.Fatalf("marshal %s: %v", res.Scenario.Name, err)
 		}

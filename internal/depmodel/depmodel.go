@@ -1,10 +1,11 @@
 // Package depmodel defines the multi-level configuration dependency
 // taxonomy of the HotStorage '22 paper "Understanding Configuration
-// Dependencies of File Systems" (Table 4), together with the JSON
-// representation the paper's static analyzer emits for extracted
-// dependencies (§4.1: "The extracted dependencies are stored in JSON
-// files which describe both the parameters and the associated
-// constraints").
+// Dependencies of File Systems" (Table 4), together with the two
+// encodings of an extraction. File is the JSON document the paper's
+// static analyzer emits (§4.1: "The extracted dependencies are stored
+// in JSON files which describe both the parameters and the associated
+// constraints"). A Set's binary encoding (MarshalBinary) is the
+// compact form internal/depstore persists and a warm start decodes.
 //
 // The taxonomy has three major categories:
 //
@@ -409,27 +410,6 @@ func (s *Set) Sorted() []Dependency {
 		return a.Target.Less(b.Target)
 	})
 	return out
-}
-
-// MarshalJSON encodes the set as a JSON array in insertion order.
-func (s *Set) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.deps)
-}
-
-// UnmarshalJSON decodes a JSON array of dependencies, validating each.
-func (s *Set) UnmarshalJSON(b []byte) error {
-	var deps []Dependency
-	if err := json.Unmarshal(b, &deps); err != nil {
-		return err
-	}
-	*s = *NewSet()
-	for _, d := range deps {
-		if err := d.Validate(); err != nil {
-			return err
-		}
-		s.Add(d)
-	}
-	return nil
 }
 
 // File is the on-disk JSON document the analyzer writes (§4.1).

@@ -1,7 +1,6 @@
 package depmodel
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,23 +176,6 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	}
 	if _, err := DecodeFile([]byte(`{`)); err == nil {
 		t.Fatal("bad JSON accepted")
-	}
-}
-
-func TestSetJSONRoundTrip(t *testing.T) {
-	s := NewSet()
-	s.Add(dep(SDDataType, "a", "p", "", "", ""))
-	s.Add(dep(CPDValue, "a", "p", "a", "q", "lt"))
-	blob, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Set
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != s.Len() {
-		t.Fatalf("round trip len %d != %d", back.Len(), s.Len())
 	}
 }
 

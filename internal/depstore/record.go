@@ -1,5 +1,8 @@
 // Record schemas and (de)hydration for the three persisted layers.
 //
+// Scenario records, the only kind a warm start decodes, carry
+// depmodel's binary Set encoding. Taint and summary records stay JSON.
+//
 // Taint results serialize everything the derivation passes consume
 // except Site.Expr, which is an AST node and not portable; on load the
 // expression is rehydrated by matching (function, position) against
@@ -145,16 +148,17 @@ func SaveScenario(s *Store, key string, deps *depmodel.Set) error {
 	if s == nil || deps == nil {
 		return nil
 	}
-	blob, err := json.Marshal(deps)
+	blob, err := deps.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	return s.Put(KindScenario, key, blob)
 }
 
-// LoadScenario rehydrates a scenario's dependency set. The set's JSON
+// LoadScenario rehydrates a scenario's dependency set. The set's binary
 // form preserves insertion order and re-validates every record, so a
-// loaded set renders byte-identically to the cold extraction.
+// loaded set renders byte-identically to the cold extraction; a payload
+// it refuses counts as an invalidation.
 func LoadScenario(s *Store, key string) (*depmodel.Set, bool) {
 	if s == nil {
 		return nil, false
@@ -163,8 +167,8 @@ func LoadScenario(s *Store, key string) (*depmodel.Set, bool) {
 	if !ok {
 		return nil, false
 	}
-	set := depmodel.NewSet()
-	if err := json.Unmarshal(payload, set); err != nil {
+	set := new(depmodel.Set)
+	if err := set.UnmarshalBinary(payload); err != nil {
 		s.noteInvalid()
 		return nil, false
 	}

@@ -2,7 +2,9 @@ package depstore
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fsdep/internal/depmodel"
@@ -174,18 +176,106 @@ func TestScenarioRecordRoundTrip(t *testing.T) {
 func TestScenarioRecordRefusesInvalidDeps(t *testing.T) {
 	s := openT(t)
 	key := Key("invalid-scenario")
-	// A payload that parses as JSON but fails dependency validation
-	// (SD with a target) must load as a miss.
-	bad := `[{"kind":"sd-data-type","source":{"component":"a","param":"p"},"target":{"component":"b","param":"q"},"constraint":{}}]`
-	if err := s.Put(KindScenario, key, []byte(bad)); err != nil {
+	// An SD dependency with a target has a valid kind, so it encodes;
+	// only the decoder's Validate can refuse it, as a counted miss.
+	set := depmodel.NewSet()
+	set.Add(depmodel.Dependency{
+		Kind:   depmodel.SDDataType,
+		Source: depmodel.ParamRef{Component: "a", Param: "p"},
+		Target: depmodel.ParamRef{Component: "b", Param: "q"},
+	})
+	if err := SaveScenario(s, key, set); err != nil {
 		t.Fatal(err)
 	}
 	flushT(t, s)
+	payload, ok := s.Get(KindScenario, key)
+	if !ok {
+		t.Fatal("the scenario record was not stored")
+	}
+	if err := new(depmodel.Set).UnmarshalBinary(payload); err == nil ||
+		!strings.Contains(err.Error(), "must not have a target") {
+		t.Fatalf("decode error = %v, want the SD-with-target validation failure", err)
+	}
 	if _, ok := LoadScenario(s, key); ok {
 		t.Fatal("invalid dependency set loaded")
 	}
-	if st := s.Stats(); st.Invalidations == 0 {
-		t.Error("refused scenario not counted as invalidation")
+	if st := s.Stats(); st.Invalidations != 1 {
+		t.Errorf("invalidations = %d, want 1", st.Invalidations)
+	}
+}
+
+// TestScenarioRecordRefusals: every malformed scenario payload inside a
+// valid envelope loads as a miss with one invalidation counted, never
+// as a panic or a partial set.
+func TestScenarioRecordRefusals(t *testing.T) {
+	set := depmodel.NewSet()
+	set.Add(depmodel.Dependency{
+		Kind:       depmodel.SDValueRange,
+		Source:     depmodel.ParamRef{Component: "mke2fs", Param: "blocksize"},
+		Constraint: depmodel.Constraint{Min: depmodel.I64(1024), Max: depmodel.I64(65536)},
+		Evidence:   []string{"mke2fs.c:3"},
+	})
+	set.Add(depmodel.Dependency{
+		Kind:       depmodel.CCDBehavioral,
+		Source:     depmodel.ParamRef{Component: "e2fsck"},
+		Target:     depmodel.ParamRef{Component: "mke2fs", Param: "blocksize"},
+		Constraint: depmodel.Constraint{Relation: "behavioral", Enum: []string{"1024", "4096"}},
+		Via:        []string{"ext2_super_block.s_log_block_size"},
+	})
+	valid, err := set.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The JSON array SaveScenario wrote before payloads went binary.
+	legacy, err := json.Marshal(set.Deps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// hand encodes table ["a", "p", ""] and one dependency of the given
+	// kind whose source component is table[src]: a.p when src is 0.
+	hand := func(kind, src byte) []byte {
+		return []byte{valid[0], 3, 1, 'a', 1, 'p', 0,
+			1, kind, src, 1, 2, 2, 2, 2, 2, 0, 0, 0, 0}
+	}
+	cases := map[string][]byte{
+		"trailing byte":     append(append([]byte(nil), valid...), 0),
+		"index past table":  hand(byte(depmodel.SDDataType), 3),
+		"kind zero":         hand(0, 0),
+		"kind past the end": hand(byte(depmodel.CCDBehavioral)+1, 0),
+		"unknown format":    append([]byte{valid[0] + 1}, valid[1:]...),
+		"pre-binary JSON":   legacy,
+	}
+	for n := 0; n < len(valid); n++ {
+		cases[fmt.Sprintf("prefix %d of %d", n, len(valid))] = valid[:n]
+	}
+
+	s, err := OpenWith(Options{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Key("hand-built")
+	if err := s.Put(KindScenario, good, hand(byte(depmodel.SDDataType), 0)); err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range cases {
+		if err := s.Put(KindScenario, Key(name), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushT(t, s)
+	// The unmutated hand encoding loads, so each refusal below is the
+	// mutation's doing.
+	if got, ok := LoadScenario(s, good); !ok || got.Len() != 1 {
+		t.Fatalf("hand-built encoding did not load: ok=%v", ok)
+	}
+	for name := range cases {
+		before := s.Stats().Invalidations
+		if got, ok := LoadScenario(s, Key(name)); ok {
+			t.Errorf("%s: loaded a set of %d dependencies", name, got.Len())
+		}
+		if n := s.Stats().Invalidations - before; n != 1 {
+			t.Errorf("%s: %d invalidations counted, want 1", name, n)
+		}
 	}
 }
 

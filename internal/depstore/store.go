@@ -12,6 +12,8 @@
 // is one file: a versioned JSON header line carrying a checksum,
 // followed by the raw payload bytes (kept outside the header's JSON so
 // warm loads parse the payload exactly once, in the caller's decode).
+// Scenario payloads, which are all a warm start decodes, use
+// depmodel's binary Set encoding; taint and summary payloads are JSON.
 // Writes are group commits: each Put writes a temp file in call order
 // and fsyncs it in the background, and Flush renames the group into
 // place in the same order and syncs each changed directory once, so
@@ -50,7 +52,7 @@ import (
 // formatVersion is the envelope format; bump it whenever a record's
 // payload schema changes so older caches read as invalid, not as
 // garbage.
-const formatVersion = 2
+const formatVersion = 3
 
 // Record kinds, part of each record's filename and envelope.
 const (

@@ -71,7 +71,7 @@ func renderResults(t *testing.T, results []*core.Result) string {
 	t.Helper()
 	var b strings.Builder
 	for _, res := range results {
-		blob, err := json.Marshal(res.Deps)
+		blob, err := json.Marshal(res.Deps.Deps())
 		if err != nil {
 			t.Fatalf("marshal %s: %v", res.Scenario.Name, err)
 		}

@@ -239,6 +239,11 @@ func BenchmarkColdVsDiskWarm(b *testing.B) {
 			if cs := core.TotalCacheStats(comps); cs.EngineRuns != 0 {
 				b.Fatalf("warm iteration ran the engine %d times", cs.EngineRuns)
 			}
+			// Zero engine runs alone would also pass if taint records
+			// answered for refused scenario records.
+			if st := s.Stats(); st.Misses != 0 || st.Invalidations != 0 {
+				b.Fatalf("warm iteration missed %d and refused %d records", st.Misses, st.Invalidations)
+			}
 			_ = outs
 			b.StartTimer()
 		}
